@@ -1,10 +1,13 @@
 //! Concurrency substrate for the Aspect Moderator framework.
 //!
 //! The ICDCS 2001 paper assumes the Java concurrency model: every object is
-//! a monitor with `synchronized` blocks, `wait()` and `notify()`. This crate
-//! provides the equivalent primitives for Rust, built on [`parking_lot`],
-//! plus the auxiliary machinery the aspect library and the benchmark
-//! harness need (ring buffers, schedulers, rate limiters, virtual clocks).
+//! a monitor with `synchronized` blocks, `wait()` and `notify()`. In this
+//! workspace the moderator's coordination cells play the monitor, and this
+//! crate supplies what they park and queue on: the [`Waiter`] seam with its
+//! two engines (OS-thread [`CondvarEngine`] and task-parking
+//! [`TaskEngine`]), the ticketed FIFO discipline ([`TicketQueue`]), plus the
+//! sequential building blocks the aspect library and the benchmark harness
+//! need (ring buffer, resource pool, schedulers, rate limiters, clocks).
 //!
 //! Nothing in this crate knows about aspects; it is the layer *below* the
 //! framework, usable on its own.
@@ -12,22 +15,21 @@
 //! # Quick tour
 //!
 //! ```
-//! use amf_concurrency::{Monitor, Semaphore, RingBuffer};
-//!
-//! // A guarded-suspension monitor, the paper's wait/notify idiom.
-//! let m = Monitor::new(0_u32);
-//! m.with(|v| *v += 1);
-//! assert_eq!(m.with(|v| *v), 1);
-//!
-//! // A counting semaphore.
-//! let s = Semaphore::new(2);
-//! let _p = s.acquire();
+//! use amf_concurrency::{Grant, RingBuffer, TicketQueue};
 //!
 //! // A plain ring buffer (synchronization supplied externally, e.g. by
 //! // synchronization aspects).
 //! let mut rb = RingBuffer::with_capacity(4);
 //! rb.push_back("ticket").unwrap();
 //! assert_eq!(rb.pop_front(), Some("ticket"));
+//!
+//! // Ticketed FIFO wait state: a broadcast serves waiters in park order.
+//! let mut q = TicketQueue::new(false);
+//! let first = q.enqueue();
+//! let second = q.enqueue();
+//! q.wake_all();
+//! assert_eq!(q.grant_for(second), None);
+//! assert_eq!(q.grant_for(first), Some(Grant::Sweep));
 //! ```
 
 #![warn(missing_docs)]
@@ -35,28 +37,18 @@
 
 pub mod clock;
 pub mod engine;
-pub mod executor;
-pub mod latch;
-pub mod monitor;
 pub mod pool;
 pub mod rate;
 pub mod ring;
 pub mod scheduler;
-pub mod semaphore;
 pub mod task;
 pub mod ticket;
-pub mod wait_queue;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use engine::{CondvarEngine, CondvarWaiter, GrantSource, Waiter};
-pub use executor::WorkerPool;
-pub use latch::CountdownLatch;
-pub use monitor::Monitor;
 pub use pool::ResourcePool;
 pub use rate::{RateLimiter, RateLimiterConfig};
-pub use ring::{RingBuffer, RingFullError, SyncRingBuffer};
+pub use ring::{RingBuffer, RingFullError};
 pub use scheduler::{Scheduler, SchedulerPolicy};
-pub use semaphore::{Semaphore, SemaphorePermit};
 pub use task::TaskEngine;
 pub use ticket::{Grant, TicketQueue};
-pub use wait_queue::{WaitQueue, WaitStatus};

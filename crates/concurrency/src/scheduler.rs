@@ -45,9 +45,8 @@ impl<T: Eq> PartialOrd for Entry<T> {
 
 /// A queue of pending requests drained according to a [`SchedulerPolicy`].
 ///
-/// Not internally synchronized; wrap in a
-/// [`Monitor`](crate::Monitor) (or use it from inside an aspect, which
-/// already runs under the moderator's lock).
+/// Not internally synchronized; wrap it in a mutex, or use it from
+/// inside an aspect, which already runs under the moderator's lock.
 ///
 /// ```
 /// use amf_concurrency::{Scheduler, SchedulerPolicy};

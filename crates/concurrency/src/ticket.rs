@@ -2,17 +2,29 @@
 //!
 //! [`TicketQueue`] is the one ticketed first-in-first-out state machine
 //! in the workspace: pure queue *state*, no parking. Callers hold their
-//! own lock (a coordination cell's mutex in `amf-core`, the
-//! [`WaitQueue`]'s own mutex here) and drive the queue through its
-//! transitions; a separate [`Waiter`](crate::Waiter) engine does the
-//! actual parking. That split is what lets the same discipline back a
-//! blocking condition queue today and an async grant engine later.
+//! own lock (a coordination cell's mutex in `amf-core`) and drive the
+//! queue through its transitions; a separate [`Waiter`](crate::Waiter)
+//! engine does the actual parking. That split is what lets the same
+//! discipline back a blocking condition queue and an async grant engine.
 //!
 //! Wake permits are *state* — pending signals and broadcast sweeps —
 //! rather than bare condvar pulses, so a notification landing while a
 //! waiter's lock is released (e.g. during the moderator's rollback
 //! notification) is retained instead of lost. The wake primitive only
 //! says "queue state changed, re-check"; eligibility lives here.
+//!
+//! # Sweeps stop at the first re-block
+//!
+//! A broadcast sweep hands its cursor from the queue front to the next
+//! ticket only when the front *leaves*. A front that re-blocks ends the
+//! sweep: no later ticket may evaluate while an earlier one is still
+//! parked, so a resource freed between two evaluations can never go to
+//! the later ticket first. This is the discipline the `amf-verify`
+//! model checks (only the queue front evaluates). A broadcast that
+//! lands while the front already holds the cursor — possibly mid-way
+//! through its own evaluation — marks the sweep *rearmed*: the front's
+//! re-block then keeps the cursor for one more evaluation instead of
+//! ending the sweep, so that broadcast is not lost.
 //!
 //! # Batched grants
 //!
@@ -31,8 +43,6 @@
 //! no-overtake (model-checked in `amf-verify`, where the
 //! `split_batch_overtake` ablation shows what goes wrong without the
 //! cursor).
-//!
-//! [`WaitQueue`]: crate::WaitQueue
 
 use std::collections::VecDeque;
 
@@ -55,15 +65,18 @@ pub enum Grant {
     Backstop,
 }
 
-/// An active sweep: every ticket in `cursor..end` gets one evaluation
-/// in ticket order; `cursor` is the ticket currently allowed to
+/// An active sweep: tickets in `cursor..end` evaluate in ticket order
+/// while each one leaves; `cursor` is the ticket currently allowed to
 /// evaluate. `batched` marks a batched-grant extension (installed by
-/// [`TicketQueue::settle`]) as opposed to a broadcast.
+/// [`TicketQueue::settle`]) as opposed to a broadcast; `rearmed` marks a
+/// broadcast that landed while the cursor already sat on the queue
+/// front (module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Sweep {
     cursor: u64,
     end: u64,
     batched: bool,
+    rearmed: bool,
 }
 
 /// Ticketed FIFO wait state. All operations must run under the caller's
@@ -147,20 +160,24 @@ impl TicketQueue {
         None
     }
 
-    /// Records one broadcast notification: (re)starts a sweep over
-    /// every currently ticketed waiter. A notification with no waiters
-    /// is lost (condition-queue semantics), same as a condvar broadcast
-    /// with nobody parked.
+    /// Records one broadcast notification: (re)starts a sweep at the
+    /// queue front over every currently ticketed waiter. A notification
+    /// with no waiters is lost (condition-queue semantics), same as a
+    /// condvar broadcast with nobody parked.
     ///
-    /// Restarting from the head on merge gives already-swept tickets a
-    /// harmless extra evaluation; each sweep stays finite because `end`
-    /// is fixed at permit time.
+    /// The sweep advances only past tickets that leave; the first
+    /// re-block ends it (module docs). A broadcast merging into a sweep
+    /// whose cursor already sits on the front rearms it, so the front
+    /// gets one more evaluation even if it is evaluating right now;
+    /// each sweep stays finite because `end` is fixed at permit time.
     pub fn wake_all(&mut self) {
         if let Some(&front) = self.waiting.front() {
+            let rearmed = self.sweep.is_some_and(|s| s.cursor == front);
             self.sweep = Some(Sweep {
                 cursor: front,
                 end: self.next_ticket,
                 batched: false,
+                rearmed,
             });
         }
     }
@@ -175,8 +192,11 @@ impl TicketQueue {
 
     /// Consumes the permit behind a finished evaluation; removes the
     /// ticket when its holder is leaving the queue (resume or abort).
+    /// A sweep holder that leaves passes the cursor on; one that
+    /// re-blocks ends the sweep, unless a broadcast rearmed it, in which
+    /// case it keeps the cursor for one more evaluation (module docs).
     /// With batching enabled, a departure extends the grant to the new
-    /// queue front when no other permit covers it (module docs).
+    /// queue front when no other permit covers it.
     ///
     /// Returns `true` when the settled grant was a batched extension —
     /// the caller's hook for a `batched_grants` counter.
@@ -184,7 +204,15 @@ impl TicketQueue {
         let batched_serve =
             grant == Grant::Sweep && self.sweep.is_some_and(|s| s.cursor == ticket && s.batched);
         match grant {
-            Grant::Sweep => self.advance_sweep(ticket),
+            Grant::Sweep if leaving => self.advance_sweep(ticket),
+            Grant::Sweep => {
+                if let Some(s) = self.sweep.filter(|s| s.cursor == ticket) {
+                    self.sweep = s.rearmed.then_some(Sweep {
+                        rearmed: false,
+                        ..s
+                    });
+                }
+            }
             Grant::Signal => self.signals -= 1,
             Grant::First | Grant::Backstop => {}
         }
@@ -230,20 +258,21 @@ impl TicketQueue {
     }
 
     /// Moves an active sweep's cursor to the next ticketed waiter after
-    /// `after`, ending the sweep when none remains below its end.
+    /// `after`, ending the sweep when none remains below its end. The
+    /// successor's evaluation already serves any rearming broadcast.
     fn advance_sweep(&mut self, after: u64) {
-        let Some(Sweep { end, batched, .. }) = self.sweep else {
+        let Some(sweep) = self.sweep else {
             return;
         };
         self.sweep = self
             .waiting
             .iter()
             .copied()
-            .find(|&t| t > after && t < end)
-            .map(|next| Sweep {
-                cursor: next,
-                end,
-                batched,
+            .find(|&t| t > after && t < sweep.end)
+            .map(|cursor| Sweep {
+                cursor,
+                rearmed: false,
+                ..sweep
             });
     }
 
@@ -257,6 +286,7 @@ impl TicketQueue {
                     cursor: front,
                     end: front + 1,
                     batched: true,
+                    rearmed: false,
                 });
             }
         }
@@ -314,9 +344,52 @@ mod tests {
         assert_eq!(q.grant_for(t2), None);
         assert_eq!(q.grant_for(t1), Some(Grant::Sweep));
         q.settle(t1, Grant::Sweep, false); // re-blocked, stays queued
-        assert_eq!(q.grant_for(t2), Some(Grant::Sweep));
-        q.settle(t2, Grant::Sweep, false);
-        assert!(!q.has_pending(), "sweep ends at its fixed end");
+        assert_eq!(q.grant_for(t2), None, "no evaluation past a re-block");
+        assert!(!q.has_pending(), "the re-block ended the sweep");
+    }
+
+    #[test]
+    fn reblocked_front_keeps_later_tickets_parked_until_the_next_broadcast() {
+        // The wake-order inversion: with the sweep advancing past a
+        // re-block, a resource freed between the front's evaluation and
+        // its successor's went to the successor first.
+        let mut q = TicketQueue::new(false);
+        let t0 = q.enqueue();
+        let t1 = q.enqueue();
+        q.wake_all();
+        q.settle(t0, Grant::Sweep, false); // nothing free yet
+        assert_eq!(q.grant_for(t1), None, "t1 may not overtake t0");
+        q.wake_all(); // the resource is freed, and announced
+        assert_eq!(q.grant_for(t1), None);
+        assert_eq!(q.grant_for(t0), Some(Grant::Sweep), "the front goes first");
+        q.settle(t0, Grant::Sweep, true);
+        assert_eq!(q.grant_for(t1), Some(Grant::Sweep));
+    }
+
+    #[test]
+    fn broadcast_during_the_fronts_evaluation_is_not_lost() {
+        let mut q = TicketQueue::new(false);
+        let t0 = q.enqueue();
+        let t1 = q.enqueue();
+        q.wake_all();
+        assert_eq!(q.grant_for(t0), Some(Grant::Sweep));
+        q.wake_all(); // lands while t0 evaluates under the cell lock
+        q.settle(t0, Grant::Sweep, false);
+        assert_eq!(q.grant_for(t0), Some(Grant::Sweep), "one more re-check");
+        assert_eq!(q.grant_for(t1), None);
+        q.settle(t0, Grant::Sweep, false);
+        assert!(!q.has_pending(), "the rearm is spent by one evaluation");
+    }
+
+    #[test]
+    fn broadcast_during_a_signal_evaluation_is_not_lost() {
+        let mut q = TicketQueue::new(false);
+        let t0 = q.enqueue();
+        q.wake_one();
+        assert_eq!(q.grant_for(t0), Some(Grant::Signal));
+        q.wake_all();
+        q.settle(t0, Grant::Signal, false);
+        assert_eq!(q.grant_for(t0), Some(Grant::Sweep));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn ctx_for(moderator: &AspectModerator, m: &MethodHandle) -> InvocationContext {
     InvocationContext::new(m.id().clone(), moderator.next_invocation())
@@ -475,7 +475,10 @@ fn custom_engine_carries_all_parking() {
         let mut ctx = ctx_for(&waiter, &gate2);
         waiter.preactivation(&gate2, &mut ctx).unwrap();
     });
-    while m.stats().blocks == 0 {
+    // `blocks` is counted before the caller reaches its waitpoint, so
+    // wait (bounded) for the park itself rather than for the block.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while parks.load(AtomicOrdering::SeqCst) == 0 && Instant::now() < deadline {
         thread::yield_now();
     }
     assert!(

@@ -133,15 +133,14 @@ pub struct WireStats {
     /// contention ratio on the fast lane.
     pub fast_path_fallbacks: u64,
     /// Client connections currently open on the service front
-    /// (eleventh field, appended by the task-engine release). Both
-    /// fronts maintain it; under the readiness-driven front it is the
+    /// (eleventh field, appended by the task-engine release): the
     /// number the connection-scaling experiment drives into the
     /// thousands.
     pub open_connections: u64,
     /// Invocations currently suspended inside the task engine's
     /// waitpoints (twelfth field, appended by the task-engine release).
-    /// Zero under the threaded front, which parks on condvars outside
-    /// the engine.
+    /// Every request runs as an engine task, so this counts every
+    /// request parked inside the moderator protocol.
     pub tasks_parked: u64,
 }
 

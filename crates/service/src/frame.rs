@@ -6,9 +6,8 @@
 //! transport: a blocking socket read, a nonblocking readiness loop, a
 //! test vector) and yields complete frame *bodies*; [`FrameEncoder`]
 //! produces prefixed bytes. Neither touches a socket, so the blocking
-//! client, the threaded server front, the readiness-driven reactor
-//! front, and `PeerNode` all share the same parsing with their own IO
-//! strategies on top.
+//! client, the readiness-driven reactor front, and `PeerNode` all share
+//! the same parsing with their own IO strategies on top.
 //!
 //! The decoder is incremental and restartable at every byte boundary:
 //! `feed` accepts arbitrary chunkings of the stream, including one byte

@@ -38,4 +38,4 @@ pub use codec::{
 };
 pub use frame::{FrameDecoder, FrameEncoder, FramePartial};
 pub use peer::{FaultProxy, FaultProxyConfig, FaultProxyStats, PeerConfig, PeerNode, PeerStats};
-pub use server::{ServiceConfig, ServiceError, ServiceFront, ServiceHandle, TicketService};
+pub use server::{ServiceConfig, ServiceError, ServiceHandle, TicketService};

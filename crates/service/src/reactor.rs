@@ -1,11 +1,11 @@
-//! Readiness-driven service front: one epoll loop, tasks for requests.
+//! The service front: one epoll loop, tasks for requests.
 //!
-//! The threaded front pins one worker thread per live connection; this
-//! front holds *every* connection in a single reactor thread and spends
+//! A single reactor thread holds *every* connection and spends
 //! execution only on decoded requests, dispatched as tasks on the
-//! [`TaskEngine`]. Mostly-idle connections therefore cost a few hundred
-//! bytes of state instead of a stack, which is what the
-//! connection-scaling experiment (E17) measures.
+//! [`TaskEngine`]. A mostly-idle connection therefore costs a few
+//! hundred bytes of state rather than a pinned worker thread and its
+//! stack, which is what the connection-scaling experiment (E17)
+//! measures.
 //!
 //! Structure:
 //!
@@ -15,7 +15,10 @@
 //! * **per-connection state machine** — a nonblocking socket, the
 //!   sans-io [`FrameDecoder`], an outbound byte buffer, and a
 //!   one-request-in-flight discipline (`busy` + a `pending` queue)
-//!   that preserves response ordering for pipelined clients.
+//!   that preserves response ordering for pipelined clients. A framing
+//!   error (oversized length prefix) or an undecodable body is answered
+//!   with `Response::Err` after the responses already owed, then the
+//!   connection closes; a client EOF still flushes what is owed.
 //! * **wakeup path** — request tasks finish on engine workers, push a
 //!   completion into a shared queue, and write an `eventfd` the
 //!   reactor polls; the reactor drains completions, writes responses,
@@ -38,6 +41,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use amf_concurrency::TaskEngine;
+use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::codec::{decode_request, encode_response, Request, Response};
@@ -89,14 +93,15 @@ fn epoll_add(ep: i32, fd: i32, events: u32, data: u64) -> io::Result<()> {
 /// A finished request task: the framed response plus connection fate.
 pub(crate) struct Completion {
     token: u64,
-    bytes: Vec<u8>,
+    bytes: Bytes,
     /// Close the connection after flushing (shutdown ack, protocol
-    /// error) — mirrors the threaded front's `then_shutdown`.
+    /// error).
     close_after: bool,
 }
 
-/// Handle engine tasks (and `begin_shutdown`) use to reach the reactor:
-/// a completion queue plus the eventfd that interrupts `epoll_wait`.
+/// Handle engine tasks (and `ServiceHandle::shutdown`) use to reach the
+/// reactor: a completion queue plus the eventfd that interrupts
+/// `epoll_wait`.
 pub(crate) struct ReactorWaker {
     efd: File,
     completions: Mutex<Vec<Completion>>,
@@ -325,20 +330,21 @@ impl Reactor {
                         conn.eof = true;
                         break;
                     }
-                    Ok(n) => match conn.dec.feed(&scratch[..n]) {
-                        Ok(_) => {
-                            while let Some(f) = conn.dec.next_frame() {
-                                frames.push(f);
-                            }
+                    Ok(n) => {
+                        let fed = conn.dec.feed(&scratch[..n]);
+                        // Frames completed ahead of a bad prefix in the
+                        // same chunk are owed responses too.
+                        while let Some(f) = conn.dec.next_frame() {
+                            frames.push(f);
                         }
-                        Err(e) => {
+                        if let Err(e) = fed {
                             // Oversized length prefix: report before
-                            // hanging up, like the threaded front —
-                            // but only after responses already owed.
+                            // hanging up, but only after responses
+                            // already owed.
                             conn.poison = Some(e.to_string());
                             break;
                         }
-                    },
+                    }
                     Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => {
@@ -353,19 +359,13 @@ impl Reactor {
             return;
         }
         for f in frames {
-            let dispatch_now = {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                if conn.busy {
-                    conn.pending.push_back(f.clone());
-                    false
-                } else {
-                    conn.busy = true;
-                    true
-                }
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
             };
-            if dispatch_now {
+            if conn.busy {
+                conn.pending.push_back(f);
+            } else {
+                conn.busy = true;
                 self.dispatch(token, f);
             }
         }
@@ -410,12 +410,12 @@ impl Reactor {
             if close_after && matches!(response, Response::Ok(_)) {
                 // Raise the flag before the ack goes out: a client that
                 // reads this Ok and reconnects must already see the
-                // service as down (same ordering as the threaded front).
+                // service as down.
                 shared.shutting_down.store(true, Ordering::SeqCst);
             }
             waker.complete(Completion {
                 token,
-                bytes: encode_response(&response).to_vec(),
+                bytes: encode_response(&response),
                 close_after,
             });
         });

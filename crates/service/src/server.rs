@@ -24,16 +24,14 @@
 //! they meet only where the protocol demands it (the buffer-sync aspect
 //! pair and cross-method wakeups).
 //!
-//! Two execution fronts share this file's protocol logic
-//! ([`ServiceFront`]): the original thread-per-connection front on a
-//! [`WorkerPool`], and the readiness-driven default ([`crate::reactor`])
-//! that multiplexes every connection onto one epoll loop and runs
-//! requests as tasks on a [`TaskEngine`] — whose waiters also back the
-//! moderator's coordination cells, so a parked request suspends a task,
-//! not a thread.
+//! One execution front serves every connection: the readiness-driven
+//! reactor ([`crate::reactor`]) multiplexes all of them onto one epoll
+//! loop and runs decoded requests as tasks on a [`TaskEngine`], whose
+//! waiters also back the moderator's coordination cells, so a parked
+//! request suspends a task, not a thread.
 
-use std::io::{self, BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -43,44 +41,23 @@ use amf_aspects::auth::{AuthToken, Authenticator};
 use amf_aspects::metrics::{MetricsAspect, MetricsHub};
 use amf_aspects::quota::QuotaAspect;
 use amf_aspects::sched::{RateLimitAspect, ThrottleMode};
-use amf_concurrency::{RateLimiter, RateLimiterConfig, SystemClock, TaskEngine, WorkerPool};
+use amf_concurrency::{RateLimiter, RateLimiterConfig, SystemClock, TaskEngine};
 use amf_core::trace::MemoryTrace;
 use amf_core::{
     AbortError, AspectModerator, Concern, FairnessPolicy, PanicPolicy, RegistrationError,
 };
 use amf_ticketing::{ExtendedTicketServerProxy, Ticket, TicketServerProxy};
-use parking_lot::Mutex;
 
-use crate::codec::{
-    decode_request, encode_response, read_frame, severity_from_wire, write_frame, Request,
-    Response, WireStats,
-};
+use crate::codec::{severity_from_wire, Request, Response, WireStats};
 use crate::reactor::{self, ReactorWaker};
-
-/// Which execution front serves connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServiceFront {
-    /// Thread-per-connection on a [`WorkerPool`]: each live connection
-    /// pins a worker for its lifetime, so `workers` bounds concurrent
-    /// clients.
-    Threaded,
-    /// Readiness-driven epoll reactor ([`crate::reactor`]): one thread
-    /// owns every connection; decoded requests run as tasks on a
-    /// [`TaskEngine`] of `workers` core workers, and parked requests
-    /// suspend tasks instead of threads. The default.
-    #[default]
-    Task,
-}
 
 /// Tuning knobs for [`TicketService::spawn`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Ticket-buffer capacity (bounded; `open` blocks when full).
     pub capacity: usize,
-    /// Execution parallelism. Under [`ServiceFront::Threaded`] this is
-    /// the connection-worker count (and thus the concurrent-client
-    /// bound); under [`ServiceFront::Task`] it is the task engine's
-    /// core worker count, and connections are unbounded.
+    /// Execution parallelism: the task engine's core worker count.
+    /// Connections are not bounded by it.
     pub workers: usize,
     /// Per-principal request quota within `quota_window`.
     pub quota_limit: u64,
@@ -107,8 +84,6 @@ pub struct ServiceConfig {
     /// dies mid-reply surfaces `ClientError::Timeout` instead of
     /// hanging forever. `None` restores the old block-forever behavior.
     pub io_deadline: Option<Duration>,
-    /// Which execution front serves connections (see [`ServiceFront`]).
-    pub front: ServiceFront,
 }
 
 impl Default for ServiceConfig {
@@ -123,7 +98,6 @@ impl Default for ServiceConfig {
             fairness: FairnessPolicy::Barging,
             panic_policy: PanicPolicy::AbortInvocation,
             io_deadline: Some(Duration::from_secs(5)),
-            front: ServiceFront::default(),
         }
     }
 }
@@ -164,14 +138,10 @@ pub(crate) struct ServiceShared {
     proxy: ExtendedTicketServerProxy,
     op_timeout: Duration,
     pub(crate) shutting_down: AtomicBool,
-    connections: Mutex<Vec<TcpStream>>,
-    /// Live connection count, maintained by whichever front is serving.
+    /// Live connection count, maintained by the reactor.
     pub(crate) open_connections: AtomicU64,
-    /// Present under [`ServiceFront::Task`]; feeds `tasks_parked`.
-    engine: Option<Arc<TaskEngine>>,
-    /// Present under [`ServiceFront::Task`]; lets `begin_shutdown`
-    /// interrupt the reactor's `epoll_wait`.
-    reactor_waker: Mutex<Option<Arc<ReactorWaker>>>,
+    /// Runs request tasks; feeds `tasks_parked`.
+    engine: Arc<TaskEngine>,
 }
 
 impl ServiceShared {
@@ -218,19 +188,7 @@ impl ServiceShared {
             fast_path_admits: mod_stats.fast_path_admits,
             fast_path_fallbacks: mod_stats.fast_path_fallbacks,
             open_connections: self.open_connections.load(Ordering::SeqCst),
-            tasks_parked: self.engine.as_ref().map_or(0, |e| e.tasks_parked()),
-        }
-    }
-
-    fn begin_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
-        // Unblock every connection handler stuck in a read.
-        for conn in self.connections.lock().drain(..) {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        // And interrupt the reactor's epoll_wait, if that front runs.
-        if let Some(waker) = self.reactor_waker.lock().as_ref() {
-            waker.wake();
+            tasks_parked: self.engine.tasks_parked(),
         }
     }
 }
@@ -256,8 +214,9 @@ pub struct ServiceHandle {
     metrics: MetricsHub,
     trace: Arc<MemoryTrace>,
     shared: Arc<ServiceShared>,
-    accept_thread: Option<JoinHandle<()>>,
-    pool: Option<Arc<WorkerPool>>,
+    /// Interrupts the reactor's `epoll_wait` on shutdown.
+    waker: Arc<ReactorWaker>,
+    reactor_thread: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ServiceHandle {
@@ -306,19 +265,12 @@ impl ServiceHandle {
     /// Stops accepting connections, disconnects clients, joins every
     /// worker. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.begin_shutdown();
-        // Wake the accept loop with a throwaway connection (the reactor
-        // front was already woken through its eventfd).
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
+        self.shared.shutting_down.store(true, Ordering::SeqCst);
+        self.waker.wake();
+        if let Some(t) = self.reactor_thread.take() {
             let _ = t.join();
         }
-        if let Some(pool) = &self.pool {
-            pool.shutdown();
-        }
-        if let Some(engine) = &self.shared.engine {
-            engine.shutdown();
-        }
+        self.shared.engine.shutdown();
     }
 }
 
@@ -341,21 +293,18 @@ impl TicketService {
     /// [`ServiceError`] when the bind or the aspect composition fails.
     pub fn spawn(addr: &str, config: ServiceConfig) -> Result<ServiceHandle, ServiceError> {
         let trace = MemoryTrace::shared();
-        // Under the task front the engine doubles as the moderator's
-        // grant source: a request blocked inside the protocol parks its
-        // task, and the freed worker serves other requests.
-        let engine = match config.front {
-            ServiceFront::Task => Some(Arc::new(TaskEngine::new(config.workers))),
-            ServiceFront::Threaded => None,
-        };
-        let mut builder = AspectModerator::builder()
-            .trace(trace.clone() as Arc<dyn amf_core::trace::TraceSink>)
-            .fairness(config.fairness)
-            .panic_policy(config.panic_policy);
-        if let Some(engine) = &engine {
-            builder = builder.engine(Arc::<TaskEngine>::clone(engine));
-        }
-        let moderator = Arc::new(builder.build());
+        // The engine doubles as the moderator's grant source: a request
+        // blocked inside the protocol parks its task, and the freed
+        // worker serves other requests.
+        let engine = Arc::new(TaskEngine::new(config.workers));
+        let moderator = Arc::new(
+            AspectModerator::builder()
+                .trace(trace.clone() as Arc<dyn amf_core::trace::TraceSink>)
+                .fairness(config.fairness)
+                .panic_policy(config.panic_policy)
+                .engine(Arc::<TaskEngine>::clone(&engine))
+                .build(),
+        );
         let auth = Authenticator::shared();
         let metrics = MetricsHub::new();
 
@@ -403,32 +352,10 @@ impl TicketService {
             proxy,
             op_timeout: config.op_timeout,
             shutting_down: AtomicBool::new(false),
-            connections: Mutex::new(Vec::new()),
             open_connections: AtomicU64::new(0),
-            engine: engine.clone(),
-            reactor_waker: Mutex::new(None),
+            engine: Arc::clone(&engine),
         });
-
-        let (accept_thread, pool) = match config.front {
-            ServiceFront::Threaded => {
-                let pool = Arc::new(WorkerPool::new(config.workers));
-                let thread = {
-                    let shared = Arc::clone(&shared);
-                    let pool = Arc::clone(&pool);
-                    std::thread::Builder::new()
-                        .name("amf-service-accept".into())
-                        .spawn(move || accept_loop(&listener, &shared, &pool))
-                        .map_err(ServiceError::Io)?
-                };
-                (thread, Some(pool))
-            }
-            ServiceFront::Task => {
-                let engine = engine.expect("task front constructs an engine");
-                let (thread, waker) = reactor::spawn(listener, Arc::clone(&shared), engine)?;
-                *shared.reactor_waker.lock() = Some(waker);
-                (thread, None)
-            }
-        };
+        let (reactor_thread, waker) = reactor::spawn(listener, Arc::clone(&shared), engine)?;
 
         Ok(ServiceHandle {
             addr: local_addr,
@@ -436,72 +363,8 @@ impl TicketService {
             metrics,
             trace,
             shared,
-            accept_thread: Some(accept_thread),
-            pool,
+            waker,
+            reactor_thread: Some(reactor_thread),
         })
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<ServiceShared>, pool: &Arc<WorkerPool>) {
-    for stream in listener.incoming() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        if let Ok(clone) = stream.try_clone() {
-            shared.connections.lock().push(clone);
-        }
-        let shared = Arc::clone(shared);
-        shared.open_connections.fetch_add(1, Ordering::SeqCst);
-        pool.spawn(move || {
-            serve_connection(&shared, stream);
-            shared.open_connections.fetch_sub(1, Ordering::SeqCst);
-        });
-    }
-}
-
-fn serve_connection(shared: &Arc<ServiceShared>, stream: TcpStream) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = BufWriter::new(stream);
-    loop {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        let body = match read_frame(&mut reader) {
-            Ok(Some(body)) => body,
-            Ok(None) => return,
-            Err(e) => {
-                // Oversized frame: tell the client why before hanging up.
-                if e.kind() == io::ErrorKind::InvalidData {
-                    let resp = Response::Err(e.to_string());
-                    let _ = write_frame(&mut writer, &encode_response(&resp));
-                }
-                return;
-            }
-        };
-        let (response, then_shutdown) = match decode_request(&body) {
-            Ok(Request::Shutdown) => (Response::Ok(None), true),
-            Ok(req) => (shared.handle_request(req), false),
-            Err(e) => (Response::Err(e.to_string()), true),
-        };
-        let stop_service = then_shutdown && matches!(response, Response::Ok(_));
-        if stop_service {
-            // Raise the flag before acknowledging: the moment the client
-            // reads this Ok it may open a fresh connection, and that
-            // connection must already see the service as down.
-            shared.shutting_down.store(true, Ordering::SeqCst);
-        }
-        if write_frame(&mut writer, &encode_response(&response)).is_err() {
-            return;
-        }
-        if then_shutdown {
-            if stop_service {
-                shared.begin_shutdown();
-            }
-            return;
-        }
     }
 }

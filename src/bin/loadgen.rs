@@ -8,9 +8,9 @@
 //! lease-handoff ring over loopback TCP run at 0‰ / 10‰ / 100‰
 //! grant-plane faults, recording goodput, recovery work, and the
 //! handoff recovery-latency digest. A `connection_scaling` section
-//! (experiment E17) compares the threaded and task fronts: idle
-//! connections held live at once, the fleet's resident-memory cost,
-//! and request p99 under a modest load.
+//! (experiment E17) measures idle connections held live at once, the
+//! fleet's resident-memory cost and request p99 under a modest load,
+//! and judges them against the retired threaded front's recorded row.
 //!
 //! ```text
 //! cargo run --release --bin loadgen -- --clients 8 --requests 10000
@@ -21,10 +21,10 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use amf_bench::experiments::{
-    conn_scaling_meets, run_connection_scaling, run_wire_ring, ConnScaling,
+    conn_scaling_meets, run_connection_scaling, run_wire_ring, ConnScaling, THREADED_FRONT_RECORD,
 };
 use amf_bench::report::{fmt_ns, fmt_ops, JsonObject, JsonValue, LatencySummary};
-use amf_service::{run_load, LoadConfig, ServiceConfig, ServiceFront, TicketService};
+use amf_service::{run_load, LoadConfig, ServiceConfig, TicketService};
 
 const REPORT_PATH: &str = "BENCH_service.json";
 
@@ -219,18 +219,15 @@ fn main() -> ExitCode {
     }
     let report = report.field("wire_topology", wire.build());
 
-    // Connection-scaling battery (E17): each front holds a mostly-idle
+    // Connection-scaling battery (E17): the service holds a mostly-idle
     // connection fleet (every member proven live by stats round-trips
-    // before and after) while a contended 8-client active subset runs.
-    // The threaded front gets a pool worker per held connection — its
-    // architectural cost — while the task front holds ten times the
-    // connections on a fixed 16-worker engine. Task phase first: its
-    // larger fleet is measured against a cold allocator, which is the
-    // conservative direction for the equal-RSS claim.
-    let scaling_requests = 8_000;
-    let task = run_connection_scaling(ServiceFront::Task, 16, 2_040, scaling_requests);
-    let threaded = run_connection_scaling(ServiceFront::Threaded, 200, 192, scaling_requests);
-    for (front, r) in [("task", &task), ("threaded", &threaded)] {
+    // before and after) on a fixed 16-worker engine while a contended
+    // 8-client active subset runs. The threaded row is the recorded
+    // one: that front, which pinned a pool worker per held connection,
+    // has been retired.
+    let task = run_connection_scaling(16, 2_040, 8_000);
+    let threaded = THREADED_FRONT_RECORD;
+    for (front, r) in [("task", &task), ("threaded, recorded", &threaded)] {
         println!(
             "connection scaling [{front}]: {} conns held live, RSS delta {} KiB, \
              active p99 {} ({})",

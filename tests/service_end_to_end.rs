@@ -2,22 +2,20 @@
 //! verifying the moderated buffer's invariants survive the wire.
 
 use std::collections::HashSet;
+use std::io::Write;
+use std::net::{Shutdown, TcpStream};
 use std::thread;
 use std::time::Duration;
 
-use amf_service::{ClientError, ServiceClient, ServiceConfig, ServiceFront, TicketService};
+use amf_service::codec::{decode_response, encode_request, read_frame};
+use amf_service::{
+    ClientError, Request, Response, ServiceClient, ServiceConfig, TicketService, MAX_FRAME,
+};
 use aspect_moderator::aspects::auth::AuthToken;
 use aspect_moderator::core::FairnessPolicy;
 use aspect_moderator::ticketing::Severity;
 
-/// `AMF_SERVICE_FRONT=threaded` pins the whole suite to the
-/// thread-per-connection front; anything else (including unset) uses
-/// the config's front — the task-engine reactor by default. CI runs
-/// the suite once per value.
-fn spawn_service(mut config: ServiceConfig) -> amf_service::ServiceHandle {
-    if std::env::var("AMF_SERVICE_FRONT").as_deref() == Ok("threaded") {
-        config.front = ServiceFront::Threaded;
-    }
+fn spawn_service(config: ServiceConfig) -> amf_service::ServiceHandle {
     TicketService::spawn("127.0.0.1:0", config).expect("spawn service")
 }
 
@@ -325,4 +323,150 @@ fn contained_panic_maps_to_err_and_spares_the_connection() {
     assert_eq!(wire.panics_caught, 1);
     assert_eq!(wire.panics_caught, handle.stats().panics_caught);
     handle.shutdown();
+}
+
+// --- Raw-socket behaviour of the reactor front -------------------------
+//
+// These drive the service with hand-framed bytes instead of
+// `ServiceClient`, so they can pipeline, send malformed frames and
+// half-close the connection.
+
+/// A service with one provisioned user, plus a raw connection to it.
+fn raw_service() -> (amf_service::ServiceHandle, u64, TcpStream) {
+    let handle = spawn_service(ServiceConfig::default());
+    handle.authenticator().add_user("raw", "pw");
+    let AuthToken(token) = handle.authenticator().login("raw", "pw").unwrap();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    (handle, token, stream)
+}
+
+fn open_req(token: u64, id: u64) -> Request {
+    Request::Open {
+        token,
+        id,
+        severity: 1,
+        summary: format!("raw {id}"),
+    }
+}
+
+/// Writes every request in one `write_all`: a pipelined burst.
+fn pipeline(stream: &mut TcpStream, requests: &[Request], tail: &[u8]) {
+    let mut bytes: Vec<u8> = requests
+        .iter()
+        .flat_map(|r| encode_request(r).to_vec())
+        .collect();
+    bytes.extend_from_slice(tail);
+    stream.write_all(&bytes).unwrap();
+}
+
+fn next_response(stream: &mut TcpStream) -> Response {
+    let body = read_frame(stream)
+        .expect("read response")
+        .expect("connection closed before the response");
+    decode_response(&body).expect("decode response")
+}
+
+fn assert_closed(stream: &mut TcpStream) {
+    assert!(
+        matches!(read_frame(stream), Ok(None)),
+        "server must close the connection"
+    );
+}
+
+fn assigned_id(resp: Response) -> u64 {
+    match resp {
+        Response::Ok(Some(ticket)) => ticket.id.0,
+        other => panic!("expected an assigned ticket, got {other:?}"),
+    }
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_request_order() {
+    let (_handle, token, mut s) = raw_service();
+    pipeline(
+        &mut s,
+        &[
+            open_req(token, 1),
+            Request::Stats,
+            Request::Assign { token },
+            open_req(token, 2),
+            open_req(token, 3),
+            Request::Assign { token },
+            Request::Stats,
+        ],
+        &[],
+    );
+    assert_eq!(next_response(&mut s), Response::Ok(None));
+    match next_response(&mut s) {
+        Response::Stats(st) => assert_eq!((st.opened, st.assigned), (1, 0)),
+        other => panic!("expected stats, got {other:?}"),
+    }
+    assert_eq!(assigned_id(next_response(&mut s)), 1);
+    assert_eq!(next_response(&mut s), Response::Ok(None));
+    assert_eq!(next_response(&mut s), Response::Ok(None));
+    assert_eq!(assigned_id(next_response(&mut s)), 2);
+    match next_response(&mut s) {
+        Response::Stats(st) => assert_eq!((st.opened, st.assigned), (3, 2)),
+        other => panic!("expected stats, got {other:?}"),
+    }
+}
+
+#[test]
+fn oversized_prefix_is_reported_after_owed_responses_then_closes() {
+    let (handle, token, mut s) = raw_service();
+    let oversized = u32::try_from(MAX_FRAME + 1).unwrap().to_be_bytes();
+    pipeline(
+        &mut s,
+        &[open_req(token, 1), Request::Assign { token }],
+        &oversized,
+    );
+    assert_eq!(next_response(&mut s), Response::Ok(None));
+    assert_eq!(assigned_id(next_response(&mut s)), 1);
+    match next_response(&mut s) {
+        Response::Err(msg) => assert!(msg.contains("exceeds"), "{msg}"),
+        other => panic!("expected a framing error, got {other:?}"),
+    }
+    assert_closed(&mut s);
+    // Only that connection is gone; the service keeps serving.
+    let mut fresh = ServiceClient::connect(handle.addr()).unwrap();
+    assert_eq!(fresh.stats().unwrap().assigned, 1);
+}
+
+#[test]
+fn undecodable_body_gets_err_then_the_connection_closes() {
+    let (handle, token, mut s) = raw_service();
+    let unknown_opcode = [0, 0, 0, 1, 0xEE];
+    pipeline(&mut s, &[open_req(token, 1)], &unknown_opcode);
+    assert_eq!(next_response(&mut s), Response::Ok(None));
+    match next_response(&mut s) {
+        Response::Err(msg) => assert!(msg.contains("opcode"), "{msg}"),
+        other => panic!("expected a decode error, got {other:?}"),
+    }
+    assert_closed(&mut s);
+    let mut fresh = ServiceClient::connect(handle.addr()).unwrap();
+    assert_eq!(fresh.stats().unwrap().opened, 1);
+}
+
+#[test]
+fn client_eof_mid_pipeline_still_flushes_owed_responses() {
+    let (_handle, token, mut s) = raw_service();
+    pipeline(
+        &mut s,
+        &[
+            open_req(token, 1),
+            open_req(token, 2),
+            Request::Assign { token },
+            Request::Stats,
+        ],
+        &[],
+    );
+    s.shutdown(Shutdown::Write).unwrap();
+    assert_eq!(next_response(&mut s), Response::Ok(None));
+    assert_eq!(next_response(&mut s), Response::Ok(None));
+    assert_eq!(assigned_id(next_response(&mut s)), 1);
+    assert!(matches!(next_response(&mut s), Response::Stats(_)));
+    assert_closed(&mut s);
 }
