@@ -49,8 +49,7 @@
 //! lease's history, converting a would-be double grant into a counted
 //! `stale_dropped` and a cursor advance.
 
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Duration;
 
 /// Configuration for one directed lease link.
@@ -58,9 +57,10 @@ use std::time::Duration;
 pub struct LeaseConfig {
     /// How long a handoff may remain unacknowledged before the sender
     /// reclaims the lease. `Duration::ZERO` disables expiry and
-    /// retransmission entirely (the pre-recovery protocol: a dropped frame
-    /// deadlocks the ring, which the simulator still exercises as an
-    /// ablation).
+    /// retransmission entirely: [`LeaseOut::grant`] keeps nothing pending
+    /// and [`LeaseOut::poll`] returns nothing, so a dropped frame starves
+    /// the receiver's cursor. The simulator's topology ring runs this as
+    /// the ablation the recovery protocol is measured against.
     pub expiry: Duration,
     /// First retransmission delay; doubles per attempt.
     pub backoff_base: Duration,
@@ -194,7 +194,7 @@ pub struct LeaseOut {
     stats: LeaseLinkStats,
     /// First-send → ack-complete latency of acknowledged grants, the
     /// recovery-time distribution (newest [`LATENCY_WINDOW`] samples).
-    ack_latencies: Vec<Duration>,
+    ack_latencies: VecDeque<Duration>,
     /// Incarnation id the peer declared in its last greeting; `None`
     /// until first contact. A greeting carrying a *different* id is
     /// proof of a receiver restart, however intact the cursor looks.
@@ -210,7 +210,7 @@ impl LeaseOut {
             pending: BTreeMap::new(),
             degraded: false,
             stats: LeaseLinkStats::default(),
-            ack_latencies: Vec::new(),
+            ack_latencies: VecDeque::new(),
             peer_incarnation: None,
         }
     }
@@ -260,7 +260,7 @@ impl LeaseOut {
     /// completion order (the newest `LATENCY_WINDOW` samples). This is the
     /// handoff recovery-time distribution: a retransmitted or delayed grant
     /// shows up as a long sample.
-    pub fn ack_latencies(&self) -> &[Duration] {
+    pub fn ack_latencies(&self) -> &VecDeque<Duration> {
         &self.ack_latencies
     }
 
@@ -268,9 +268,10 @@ impl LeaseOut {
         if let Some(p) = self.pending.remove(&seq) {
             if matches!(p.msg, LeaseMsg::Grant { .. }) {
                 if self.ack_latencies.len() >= LATENCY_WINDOW {
-                    self.ack_latencies.remove(0);
+                    self.ack_latencies.pop_front();
                 }
-                self.ack_latencies.push(now.saturating_sub(p.first_sent));
+                self.ack_latencies
+                    .push_back(now.saturating_sub(p.first_sent));
             }
         }
     }
@@ -825,6 +826,18 @@ mod tests {
         assert_eq!(out.in_flight(), 0);
         assert!(out.poll(at(10_000)).is_empty());
         assert_eq!(out.next_deadline(), None);
+    }
+
+    #[test]
+    fn ack_latency_window_keeps_the_newest_samples_in_order() {
+        let mut out = LeaseOut::new(cfg());
+        let total = LATENCY_WINDOW as u64 + 3;
+        for i in 0..total {
+            let seq = out.grant(1, 1, 1, at(0)).seq();
+            out.on_ack(seq, seq + 1, Duration::from_nanos(i));
+        }
+        let window = out.ack_latencies().iter().map(Duration::as_nanos);
+        assert!(window.eq((3..total).map(u128::from)));
     }
 
     #[test]

@@ -28,6 +28,7 @@
 pub mod client;
 pub mod codec;
 pub mod frame;
+pub mod node;
 pub mod peer;
 pub mod reactor;
 pub mod server;
@@ -37,5 +38,6 @@ pub use codec::{
     DecodeError, PeerFrame, PeerWire, Request, Response, WireStats, MAX_FRAME, STATS_FIELDS,
 };
 pub use frame::{FrameDecoder, FrameEncoder, FramePartial};
+pub use node::{Lease, LeaseNode};
 pub use peer::{FaultProxy, FaultProxyConfig, FaultProxyStats, PeerConfig, PeerNode, PeerStats};
 pub use server::{ServiceConfig, ServiceError, ServiceHandle, TicketService};

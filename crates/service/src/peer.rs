@@ -1,22 +1,15 @@
 //! Node-to-node session layer: the lease-handoff ring on the real wire.
 //!
-//! [`PeerNode`] is one member of a moderation ring across OS processes.
-//! Each node runs its own [`AspectModerator`] and hands the circulation
-//! lease to its successor over the length-prefixed TCP codec
-//! ([`crate::codec::encode_peer`]). Unlike the simulator's in-memory
-//! channels, the wire drops, delays, duplicates, and dies — so every
-//! link runs the recovery state machine from [`amf_core::lease`]:
-//! retransmission with capped exponential backoff, expiry-based
-//! reclaim, idempotent dedup, and hole-filling releases.
-//!
-//! Degraded mode is woven as an aspect, not scattered through the
-//! session code: a `degradation` concern on the `acquire` method
-//! observes the node's link state and counts every admission moderated
-//! while the peer is unreachable ([`PeerStats::degraded_entries`]). The
-//! node keeps serving local lease visits off its own moderator the
-//! whole time, and re-syncs the lease cursor when the peer returns
-//! (each fresh inbound connection is greeted with an unsolicited
-//! cumulative ack).
+//! [`PeerNode`] is the TCP transport for one [`LeaseNode`], the sans-io
+//! ring member that `amf-sim`'s topology scenario drives under virtual
+//! time. Its threads ship the node's frames to the successor over the
+//! length-prefixed codec ([`crate::codec::encode_peer`]), feed the node
+//! what arrives, and drive its timers off the wall clock. The wire
+//! drops, delays, duplicates, and dies; the node's recovery machine
+//! ([`amf_core::lease`]) covers it, and while the successor is
+//! unreachable the node keeps serving local visits in degraded mode.
+//! Each fresh inbound connection is greeted with the node's incarnation
+//! id and cursor, so a returning predecessor re-syncs.
 //!
 //! [`FaultProxy`] is the test/bench harness companion: a frame-aware
 //! TCP forwarder that drops, duplicates, and delays *grant-plane*
@@ -24,7 +17,7 @@
 //! the fault model the recovery machine is verified under (see
 //! `crates/verify/tests/lease_handoff.rs` and DESIGN.md).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,18 +25,16 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use amf_aspects::audit::{AuditAspect, AuditLog};
-use amf_core::{
-    AspectModerator, Concern, FairnessPolicy, FnAspect, InvocationContext, LeaseAction,
-    LeaseConfig, LeaseIn, LeaseMsg, LeaseOut, MethodId, PanicPolicy, Verdict,
-};
+use amf_core::{AspectModerator, LeaseConfig};
 use parking_lot::Mutex;
 
-use crate::codec::{
-    decode_peer, decode_peer_wire, encode_hello, encode_peer, read_frame, write_frame, PeerFrame,
-    PeerWire,
-};
+use crate::codec::{decode_peer, decode_peer_wire, read_frame, write_frame, PeerWire};
 use crate::frame::FrameDecoder;
+use crate::node::LeaseNode;
+
+/// Granularity of the outbound pump (socket read timeout): bounds both
+/// forwarding latency and how late a timer can fire.
+const IO_TICK: Duration = Duration::from_millis(1);
 
 /// Tuning knobs for one ring node.
 #[derive(Debug, Clone)]
@@ -65,9 +56,6 @@ pub struct PeerConfig {
     /// must be nonzero — a live link without recovery deadlocks on the
     /// first lost frame.
     pub lease: LeaseConfig,
-    /// Granularity of the outbound pump (socket read timeout): bounds
-    /// both forwarding latency and how late a timer can fire.
-    pub io_tick: Duration,
     /// Pause after each moderated visit. Zero for full speed; nonzero
     /// slows circulation so a harness can observe (or interfere with)
     /// the ring at a known position.
@@ -83,7 +71,6 @@ impl Default for PeerConfig {
             seed_leases: 0,
             visits: 0,
             lease: LeaseConfig::default(),
-            io_tick: Duration::from_millis(1),
             visit_delay: Duration::ZERO,
         }
     }
@@ -118,30 +105,15 @@ pub struct PeerStats {
     pub fast_path_fallbacks: u64,
 }
 
-/// One lease riding this node's inbox.
-#[derive(Debug, Clone, Copy)]
-struct InboxEntry {
-    lease: u64,
-    hop: u64,
-    visits: u64,
-}
-
 struct PeerShared {
     cfg: PeerConfig,
+    node: LeaseNode,
+    listener: TcpListener,
+    /// Epoch of the `now` fed to the node.
+    start: Instant,
     /// The successor's address; empty means "not wired yet" (the ring
     /// builder binds every listener before wiring the links).
     next: Mutex<String>,
-    out: Mutex<LeaseOut>,
-    inn: Mutex<LeaseIn>,
-    /// Frames the outbound pump still has to write.
-    wire_q: Mutex<VecDeque<LeaseMsg>>,
-    inbox: Mutex<VecDeque<InboxEntry>>,
-    degraded: AtomicBool,
-    degraded_entries: AtomicU64,
-    delivered: AtomicU64,
-    rejoins: AtomicU64,
-    retired: Mutex<Vec<u64>>,
-    stop: AtomicBool,
     /// Shutdown handles for the live inbound connections, keyed by a
     /// per-accept id so each session removes its own entry on exit — a
     /// predecessor that reconnects repeatedly must not accumulate dead
@@ -154,7 +126,6 @@ struct PeerShared {
 pub struct PeerNode {
     addr: SocketAddr,
     shared: Arc<PeerShared>,
-    moderator: Arc<AspectModerator>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -167,8 +138,8 @@ impl std::fmt::Debug for PeerNode {
 }
 
 impl PeerNode {
-    /// Binds the listener, composes the node's moderator, seeds the
-    /// inbox, and starts the session threads.
+    /// Binds the listener, composes the node, seeds its inbox, and
+    /// starts the session threads.
     ///
     /// # Errors
     ///
@@ -192,16 +163,6 @@ impl PeerNode {
         let listener = TcpListener::bind(&cfg.listen)?;
         let addr = listener.local_addr()?;
 
-        let moderator = Arc::new(
-            AspectModerator::builder()
-                .fairness(FairnessPolicy::Fifo)
-                .panic_policy(PanicPolicy::AbortInvocation)
-                .build(),
-        );
-        let acquire = moderator.declare_method(MethodId::new("acquire"));
-        let grant = moderator.declare_method(MethodId::new("grant"));
-        let observe = moderator.declare_method(MethodId::new("observe"));
-
         // Fresh per process start (and unique across `kill -9` restarts
         // on one host): wall-clock nanos folded with the pid. Senders
         // compare successive greetings, so only inequality across
@@ -211,128 +172,45 @@ impl PeerNode {
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(1)
             ^ (u64::from(std::process::id()) << 32);
+        let node = LeaseNode::new(
+            cfg.node,
+            AspectModerator::builder(),
+            cfg.lease.clone(),
+            incarnation,
+        );
+        node.seed(cfg.seed_leases, cfg.visits);
         let shared = Arc::new(PeerShared {
+            node,
+            listener,
+            start: Instant::now(),
             next: Mutex::new(cfg.next.clone()),
-            out: Mutex::new(LeaseOut::new(cfg.lease.clone())),
-            inn: Mutex::new(LeaseIn::new().with_incarnation(incarnation)),
-            wire_q: Mutex::new(VecDeque::new()),
-            inbox: Mutex::new(VecDeque::new()),
-            degraded: AtomicBool::new(false),
-            degraded_entries: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-            rejoins: AtomicU64::new(0),
-            retired: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
             inbound_conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
             cfg,
         });
 
-        // Synchronization concern: `acquire` admits only when the inbox
-        // holds a lease.
-        {
-            let s = Arc::clone(&shared);
-            moderator
-                .register(
-                    &acquire,
-                    Concern::synchronization(),
-                    Box::new(FnAspect::new("lease-gate").on_precondition(move |_| {
-                        if s.inbox.lock().is_empty() {
-                            Verdict::Block
-                        } else {
-                            Verdict::Resume
-                        }
-                    })),
-                )
-                .expect("register lease-gate");
-        }
-        // Fault-tolerance as a crosscutting concern: degraded-mode
-        // accounting is an aspect on the same method, not session code.
-        // Every admission moderated while the successor link is down is
-        // a degraded entry.
-        {
-            let s = Arc::clone(&shared);
-            moderator
-                .register(
-                    &acquire,
-                    Concern::new("degradation"),
-                    Box::new(FnAspect::new("degraded-entries").on_postaction(move |_| {
-                        if s.degraded.load(Ordering::SeqCst) {
-                            s.degraded_entries.fetch_add(1, Ordering::SeqCst);
-                        }
-                    })),
-                )
-                .expect("register degraded-entries");
-        }
-        moderator
-            .register(
-                &grant,
-                Concern::new("handoff"),
-                Box::new(FnAspect::new("handoff")),
-            )
-            .expect("register handoff");
-        moderator
-            .register(
-                &observe,
-                Concern::new("telemetry"),
-                Box::new(AuditAspect::new(AuditLog::shared())),
-            )
-            .expect("register telemetry");
-        moderator.wire_wakes(&grant, std::slice::from_ref(&acquire));
-        moderator.wire_wakes(&acquire, &[]);
-        moderator.wire_wakes(&observe, &[]);
-
-        // Seed the ring (node 0 in the standard layout).
-        {
-            let mut inbox = shared.inbox.lock();
-            for lease in 0..shared.cfg.seed_leases {
-                inbox.push_back(InboxEntry {
-                    lease,
-                    hop: 0,
-                    visits: shared.cfg.visits,
-                });
-            }
-        }
-
-        let mut threads = Vec::new();
-        // Inbound: accept the predecessor, greet with a cursor sync,
-        // deliver grants through the moderator, ack everything.
-        {
-            let s = Arc::clone(&shared);
-            let (m, grant) = (Arc::clone(&moderator), grant.clone());
-            threads.push(
+        // Inbound: accept the predecessor, greet, feed the node its
+        // frames, write back the acks. Outbound: own the successor
+        // connection, ship the node's queue, feed it replies, drive its
+        // timers. Worker: moderate every lease visit at this node.
+        let loops = [
+            ("accept", accept_loop as fn(&_)),
+            ("out", outbound_loop),
+            ("worker", worker_loop),
+        ];
+        let threads = loops
+            .into_iter()
+            .map(|(role, body)| {
+                let s = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("peer{}-accept", s.cfg.node))
-                    .spawn(move || accept_loop(&listener, &s, &m, &grant))?,
-            );
-        }
-        // Outbound: own the successor connection, pump sends, drain
-        // acks, drive the retransmit/expiry timers.
-        {
-            let s = Arc::clone(&shared);
-            let (m, grant) = (Arc::clone(&moderator), grant.clone());
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("peer{}-out", s.cfg.node))
-                    .spawn(move || outbound_loop(&s, &m, &grant))?,
-            );
-        }
-        // Worker: moderate every lease visit at this node.
-        {
-            let s = Arc::clone(&shared);
-            let m = Arc::clone(&moderator);
-            let (acquire, observe) = (acquire.clone(), observe.clone());
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("peer{}-worker", s.cfg.node))
-                    .spawn(move || worker_loop(&s, &m, &acquire, &observe))?,
-            );
-        }
+                    .name(format!("peer{}-{role}", s.cfg.node))
+                    .spawn(move || body(&s))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
 
         Ok(PeerNode {
             addr,
             shared,
-            moderator,
             threads,
         })
     }
@@ -351,27 +229,12 @@ impl PeerNode {
 
     /// Snapshot of the node's counters.
     pub fn stats(&self) -> PeerStats {
-        let out = self.shared.out.lock();
-        let inn = self.shared.inn.lock();
-        let m = self.moderator.stats();
-        PeerStats {
-            delivered: self.shared.delivered.load(Ordering::SeqCst),
-            retired: self.shared.retired.lock().len() as u64,
-            reclaimed: out.stats().reclaimed,
-            retransmits: out.stats().retransmits,
-            dup_dropped: inn.stats().dup_dropped,
-            stale_dropped: inn.stats().stale_dropped,
-            degraded_entries: self.shared.degraded_entries.load(Ordering::SeqCst),
-            rejoins: self.shared.rejoins.load(Ordering::SeqCst),
-            degraded_now: out.degraded(),
-            fast_path_admits: m.fast_path_admits,
-            fast_path_fallbacks: m.fast_path_fallbacks,
-        }
+        self.shared.node.stats()
     }
 
     /// The leases that retired at this node, in retirement order.
     pub fn retired(&self) -> Vec<u64> {
-        self.shared.retired.lock().clone()
+        self.shared.node.retired()
     }
 
     /// First-send → ack-complete latencies of grants acknowledged by
@@ -379,12 +242,12 @@ impl PeerNode {
     /// retransmitted grant shows up as a sample near the backoff
     /// deadline; a reclaimed one never appears here at all.
     pub fn ack_latencies(&self) -> Vec<Duration> {
-        self.shared.out.lock().ack_latencies().to_vec()
+        self.shared.node.ack_latencies()
     }
 
     /// Stops every session thread and joins them. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.node.stop();
         for (_, conn) in self.shared.inbound_conns.lock().drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
@@ -402,18 +265,9 @@ impl Drop for PeerNode {
     }
 }
 
-fn now_since(start: Instant) -> Duration {
-    start.elapsed()
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    s: &Arc<PeerShared>,
-    m: &Arc<AspectModerator>,
-    grant: &amf_core::MethodHandle,
-) {
-    for stream in listener.incoming() {
-        if s.stop.load(Ordering::SeqCst) {
+fn accept_loop(s: &Arc<PeerShared>) {
+    for stream in s.listener.incoming() {
+        if s.node.stopped() {
             break;
         }
         let Ok(stream) = stream else { continue };
@@ -422,317 +276,138 @@ fn accept_loop(
             s.inbound_conns.lock().insert(conn_id, clone);
         }
         let s = Arc::clone(s);
-        let m = Arc::clone(m);
-        let grant = grant.clone();
         // One predecessor at a time in a ring; a thread per connection
         // still keeps a half-dead old socket from blocking a reconnect.
         let _ = std::thread::Builder::new()
             .name(format!("peer{}-in", s.cfg.node))
             .spawn(move || {
-                inbound_conn(stream, &s, &m, &grant);
+                inbound_conn(stream, &s.node);
                 s.inbound_conns.lock().remove(&conn_id);
             });
     }
 }
 
-fn inbound_conn(
-    stream: TcpStream,
-    s: &Arc<PeerShared>,
-    m: &Arc<AspectModerator>,
-    grant: &amf_core::MethodHandle,
-) {
-    let mut reader = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    let mut writer = stream;
+fn inbound_conn(mut stream: TcpStream, node: &LeaseNode) {
     // Greet the (possibly returning) predecessor with this node's
     // incarnation id and cursor, so it re-syncs — and can detect a
     // restart by the id alone — before sending anything.
-    {
-        let inn = s.inn.lock();
-        let hello = encode_hello(s.cfg.node, inn.incarnation(), inn.cursor());
-        if write_frame(&mut writer, &hello).is_err() {
-            return;
-        }
+    if write_frame(&mut stream, &node.greeting()).is_err() {
+        return;
     }
-    loop {
-        if s.stop.load(Ordering::SeqCst) {
+    while !node.stopped() {
+        let Ok(Some(body)) = read_frame(&mut stream) else {
             return;
-        }
-        let body = match read_frame(&mut reader) {
-            Ok(Some(body)) => body,
-            Ok(None) | Err(_) => return,
         };
         let Ok(frame) = decode_peer(&body) else {
             return;
         };
-        let (deliveries, ack) = {
-            let mut inn = s.inn.lock();
-            match frame.msg {
-                LeaseMsg::Grant {
-                    seq,
-                    lease,
-                    hop,
-                    visits,
-                } => inn.on_grant(seq, lease, hop, visits),
-                LeaseMsg::Release { seq } => inn.on_release(seq),
-                // The ack plane is outbound-only; an ack here is a
-                // protocol error from a confused peer. Drop it.
-                LeaseMsg::Ack { .. } => continue,
-            }
+        // The ack plane is outbound-only; an ack here is a protocol
+        // error from a confused peer. Drop it.
+        let Some((_, ack)) = node.receive(frame.msg) else {
+            continue;
         };
-        for d in deliveries {
-            s.delivered.fetch_add(1, Ordering::SeqCst);
-            s.inbox.lock().push_back(InboxEntry {
-                lease: d.lease,
-                hop: d.hop,
-                visits: d.visits,
-            });
-            invoke_ok(m, grant);
-        }
-        let reply = PeerFrame {
-            node: s.cfg.node,
-            msg: ack,
-        };
-        if write_frame(&mut writer, &encode_peer(&reply)).is_err() {
+        if write_frame(&mut stream, &node.encode(ack)).is_err() {
             return;
         }
     }
 }
 
-/// Accumulates bytes across socket-timeout ticks and yields complete
-/// frame bodies: a timeout mid-frame must not desync framing, so
-/// partial reads stay buffered in the sans-io [`FrameDecoder`] — the
-/// same state machine every other transport in this crate parses with.
-struct FrameBuffer {
-    dec: FrameDecoder,
-}
-
-impl FrameBuffer {
-    fn new() -> Self {
-        FrameBuffer {
-            dec: FrameDecoder::new(),
-        }
-    }
-
-    /// Reads whatever is available before the socket deadline and
-    /// returns the complete frames. `Ok(frames)` on timeout (possibly
-    /// empty), `Err` on EOF or transport failure.
-    fn pump(&mut self, r: &mut impl Read) -> io::Result<Vec<Vec<u8>>> {
-        let mut scratch = [0u8; 4096];
-        let mut frames = Vec::new();
-        loop {
-            match r.read(&mut scratch) {
-                Ok(0) => {
-                    if frames.is_empty() {
-                        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed"));
-                    }
-                    return Ok(frames);
-                }
-                Ok(n) => {
-                    self.dec.feed(&scratch[..n]).map_err(|_| {
-                        io::Error::new(io::ErrorKind::InvalidData, "oversized peer frame")
-                    })?;
-                    while let Some(body) = self.dec.next_frame() {
-                        frames.push(body);
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(frames);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+/// Reads whatever is available before the socket deadline and returns
+/// the complete frames: `Ok` on timeout (possibly empty), `Err` on EOF
+/// or transport failure. A timeout mid-frame must not desync framing,
+/// so partial reads stay buffered in the connection's sans-io
+/// [`FrameDecoder`] — the same state machine every other transport in
+/// this crate parses with.
+fn pump(dec: &mut FrameDecoder, r: &mut impl Read) -> io::Result<Vec<Vec<u8>>> {
+    let mut scratch = [0u8; 4096];
+    let mut frames = Vec::new();
+    loop {
+        match r.read(&mut scratch) {
+            Ok(0) if frames.is_empty() => {
+                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed"));
             }
+            Ok(0) => return Ok(frames),
+            Ok(n) => {
+                dec.feed(&scratch[..n]).map_err(|_| {
+                    io::Error::new(io::ErrorKind::InvalidData, "oversized peer frame")
+                })?;
+                frames.extend(std::iter::from_fn(|| dec.next_frame()));
+            }
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                return Ok(frames);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
 }
 
-fn outbound_loop(s: &Arc<PeerShared>, m: &Arc<AspectModerator>, grant: &amf_core::MethodHandle) {
-    let start = Instant::now();
+fn outbound_loop(s: &Arc<PeerShared>) {
     let mut conn: Option<TcpStream> = None;
-    let mut frames = FrameBuffer::new();
-    // Set once this connection's greeting (the peer's unsolicited
-    // cursor-sync ack) has been processed. Frames written earlier could
-    // carry numbering from the peer's previous incarnation.
+    let mut frames = FrameDecoder::new();
+    // Set once this connection's greeting has been fed to the node.
+    // Frames written earlier could carry numbering from the peer's
+    // previous incarnation.
     let mut greeted = false;
-    while !s.stop.load(Ordering::SeqCst) {
+    while !s.node.stopped() {
         // (Re)connect if needed.
         let target = s.next.lock().clone();
         if target.is_empty() {
-            std::thread::sleep(s.cfg.io_tick);
+            std::thread::sleep(IO_TICK);
             continue;
         }
         if conn.is_none() {
-            match TcpStream::connect(&target) {
-                Ok(c) => {
-                    let _ = c.set_nodelay(true);
-                    let _ = c.set_read_timeout(Some(s.cfg.io_tick));
-                    frames = FrameBuffer::new();
-                    greeted = false;
-                    conn = Some(c);
-                }
-                Err(_) => {
-                    // Peer gone. Timers below still run (that is where
-                    // expiry-based reclaim and degradation come from);
-                    // retry the connect next tick.
-                    std::thread::sleep(s.cfg.io_tick);
-                }
+            // On failure the timers below still run (that is where
+            // expiry-based reclaim and degradation come from); the
+            // connect is retried next tick.
+            if let Ok(c) = TcpStream::connect(&target) {
+                let _ = c.set_nodelay(true);
+                let _ = c.set_read_timeout(Some(IO_TICK));
+                frames = FrameDecoder::new();
+                greeted = false;
+                conn = Some(c);
             }
         }
-        // Write every queued frame — once the greeting has re-synced
-        // the link (a rebase would invalidate anything written before).
+        // Ship the node's queue — once the greeting has re-synced the
+        // link (a rebase would invalidate anything written before). A
+        // frame that fails to write stays pending in the node's
+        // `LeaseOut`; retransmission covers it once the connection is
+        // back.
         if let Some(c) = conn.as_mut().filter(|_| greeted) {
-            let pending: Vec<LeaseMsg> = s.wire_q.lock().drain(..).collect();
-            let mut broken = false;
-            for msg in pending {
-                let f = PeerFrame {
-                    node: s.cfg.node,
-                    msg,
-                };
-                if !broken && write_frame(c, &encode_peer(&f)).is_err() {
-                    broken = true;
-                }
-                // A frame that failed to write is simply dropped: it
-                // stays pending in LeaseOut and retransmission covers
-                // it once the connection is back.
-            }
-            if broken {
+            let queued = s.node.take_outbound();
+            if queued
+                .into_iter()
+                .any(|msg| write_frame(c, &s.node.encode(msg)).is_err())
+            {
                 conn = None;
             }
         }
-        // Drain acks until the tick elapses. This doubles as the
+        // Drain replies until the tick elapses. This doubles as the
         // "drain every readable ack before reclaiming" guard the
         // recovery machine's soundness depends on.
-        if let Some(c) = conn.as_mut() {
-            match frames.pump(c) {
-                Ok(bodies) => {
-                    for body in bodies {
-                        let Ok(wire) = decode_peer_wire(&body) else {
-                            continue;
-                        };
-                        let now = now_since(start);
-                        let rejoined = match wire {
-                            // The peer's connection greeting: re-sync the
-                            // sender onto its incarnation and cursor. A
-                            // rebase means the peer restarted from
-                            // scratch — everything queued under the old
-                            // numbering is garbage, replaced by the
-                            // renumbered resend set. The `out` lock is
-                            // held across the wire_q swap so a concurrent
-                            // worker grant is either fully before the
-                            // rebase (renumbered into the resend set, its
-                            // queued copy cleared) or fully after
-                            // (numbered on the fresh link) — never a
-                            // stale frame enqueued post-rebase.
-                            PeerWire::Hello {
-                                incarnation,
-                                cursor,
-                                ..
-                            } => {
-                                let mut out = s.out.lock();
-                                let resync = out.on_greeting(incarnation, cursor, now);
-                                if resync.rebased {
-                                    let mut q = s.wire_q.lock();
-                                    q.clear();
-                                    q.extend(resync.resend);
-                                }
-                                greeted = true;
-                                resync.rejoined
-                            }
-                            PeerWire::Frame(frame) => {
-                                let LeaseMsg::Ack { seq, cursor } = frame.msg else {
-                                    continue;
-                                };
-                                s.out.lock().on_ack(seq, cursor, now)
-                            }
-                        };
-                        if rejoined {
-                            s.rejoins.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                }
-                Err(_) => conn = None,
-            }
-        } else {
-            std::thread::sleep(s.cfg.io_tick);
-        }
-        // Drive the timers: retransmits go back on the wire queue,
-        // reclaimed leases re-enter the local inbox as degraded work.
-        let actions = s.out.lock().poll(now_since(start));
-        let mut reclaimed = Vec::new();
-        {
-            let mut q = s.wire_q.lock();
-            for a in actions {
-                match a {
-                    LeaseAction::Send(msg) => q.push_back(msg),
-                    LeaseAction::Reclaim { lease, hop, visits } => {
-                        reclaimed.push(InboxEntry { lease, hop, visits });
-                    }
+        match conn.as_mut().map(|c| pump(&mut frames, c)) {
+            Some(Ok(bodies)) => {
+                for wire in bodies.iter().filter_map(|b| decode_peer_wire(b).ok()) {
+                    greeted |= matches!(wire, PeerWire::Hello { .. });
+                    s.node.on_reply(wire, s.start.elapsed());
                 }
             }
+            Some(Err(_)) => conn = None,
+            None => std::thread::sleep(IO_TICK),
         }
-        for entry in reclaimed {
-            // The lease is ours again: fence its hop so a late stale
-            // re-delivery can never double-grant, then moderate it
-            // locally like any other arrival.
-            s.inn.lock().fence(entry.lease, entry.hop);
-            s.delivered.fetch_add(1, Ordering::SeqCst);
-            s.inbox.lock().push_back(entry);
-            invoke_ok(m, grant);
-        }
-        s.degraded.store(s.out.lock().degraded(), Ordering::SeqCst);
+        s.node.poll(s.start.elapsed());
     }
 }
 
-fn worker_loop(
-    s: &Arc<PeerShared>,
-    m: &Arc<AspectModerator>,
-    acquire: &amf_core::MethodHandle,
-    observe: &amf_core::MethodHandle,
-) {
-    let start = Instant::now();
-    while !s.stop.load(Ordering::SeqCst) {
-        let mut ctx = InvocationContext::new(acquire.id().clone(), m.next_invocation());
-        match m.preactivation_timeout(
-            acquire,
-            &mut ctx,
-            s.cfg.io_tick.max(Duration::from_millis(5)),
-        ) {
-            Ok(()) => {}
-            Err(_) => continue, // timeout: re-check the stop flag
-        }
-        let entry = s.inbox.lock().pop_front();
-        m.postactivation(acquire, &mut ctx);
-        let Some(entry) = entry else { continue };
-        invoke_ok(m, observe);
+fn worker_loop(s: &Arc<PeerShared>) {
+    while let Some(lease) = s.node.acquire() {
         if !s.cfg.visit_delay.is_zero() {
             std::thread::sleep(s.cfg.visit_delay);
         }
-        let visits = entry.visits.saturating_sub(1);
-        if visits == 0 {
-            s.retired.lock().push(entry.lease);
-            continue;
-        }
-        // Number the grant and enqueue it in one critical section on
-        // `out`: the rebase path clears and refills wire_q while holding
-        // `out`, so splitting these would let a rebase interleave and a
-        // stale-numbered grant land on the wire after the renumbering.
-        {
-            let mut out = s.out.lock();
-            let msg = out.grant(entry.lease, entry.hop + 1, visits, now_since(start));
-            s.wire_q.lock().push_back(msg);
-        }
+        s.node.forward(lease, s.start.elapsed());
     }
-}
-
-fn invoke_ok(m: &AspectModerator, h: &amf_core::MethodHandle) {
-    let mut ctx = InvocationContext::new(h.id().clone(), m.next_invocation());
-    m.preactivation(h, &mut ctx).expect("peer rows never abort");
-    m.postactivation(h, &mut ctx);
 }
 
 /// Per-frame decision drawn by the fault proxy: a pure function of
@@ -794,7 +469,21 @@ struct ProxyShared {
     dropped: AtomicU64,
     duplicated: AtomicU64,
     stop: AtomicBool,
-    conns: Mutex<Vec<TcpStream>>,
+    /// Both sockets of each live session, keyed by a per-accept id so
+    /// each session removes its own entry on exit — a predecessor that
+    /// reconnects repeatedly must not accumulate dead sockets here.
+    conns: Mutex<HashMap<u64, [TcpStream; 2]>>,
+    next_session: AtomicU64,
+}
+
+impl ProxyShared {
+    /// Closes and forgets both sockets of `session`. Each plane calls
+    /// this on exit, so the other plane's blocked read returns too.
+    fn end_session(&self, session: u64) {
+        for conn in self.conns.lock().remove(&session).into_iter().flatten() {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+    }
 }
 
 /// A frame-aware unreliable link: forwards client→target frames with
@@ -830,7 +519,8 @@ impl FaultProxy {
             dropped: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
+            next_session: AtomicU64::new(0),
         });
         let accept_thread = {
             let shared = Arc::clone(&shared);
@@ -862,7 +552,7 @@ impl FaultProxy {
     /// Stops forwarding and joins the proxy threads. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        for conn in self.shared.conns.lock().drain(..) {
+        for conn in self.shared.conns.lock().drain().flat_map(|(_, pair)| pair) {
             let _ = conn.shutdown(Shutdown::Both);
         }
         let _ = TcpStream::connect(self.addr);
@@ -889,10 +579,9 @@ fn proxy_accept(listener: &TcpListener, shared: &Arc<ProxyShared>) {
         };
         let _ = client.set_nodelay(true);
         let _ = target.set_nodelay(true);
-        for c in [&client, &target] {
-            if let Ok(clone) = c.try_clone() {
-                shared.conns.lock().push(clone);
-            }
+        let session = shared.next_session.fetch_add(1, Ordering::SeqCst);
+        if let (Ok(c), Ok(t)) = (client.try_clone(), target.try_clone()) {
+            shared.conns.lock().insert(session, [c, t]);
         }
         // Forward plane: client → target, frame-aware, faults applied.
         {
@@ -925,25 +614,19 @@ fn proxy_accept(listener: &TcpListener, shared: &Arc<ProxyShared>) {
                         framed.extend_from_slice(&(body.len() as u32).to_be_bytes());
                         framed.extend_from_slice(&body);
                         let copies = if (draw >> 32) % 1000 < shared.cfg.dup_permille {
+                            shared.duplicated.fetch_add(1, Ordering::SeqCst);
                             2
                         } else {
                             1
                         };
-                        if copies == 2 {
-                            shared.duplicated.fetch_add(1, Ordering::SeqCst);
-                        }
-                        let mut dead = false;
-                        for _ in 0..copies {
-                            if to.write_all(&framed).is_err() {
-                                dead = true;
-                                break;
-                            }
-                        }
-                        if dead || to.flush().is_err() {
+                        if (0..copies).any(|_| to.write_all(&framed).is_err())
+                            || to.flush().is_err()
+                        {
                             break;
                         }
                         shared.forwarded.fetch_add(1, Ordering::SeqCst);
                     }
+                    shared.end_session(session);
                 });
         }
         // Return plane: target → client, verbatim copy.
@@ -964,7 +647,43 @@ fn proxy_accept(listener: &TcpListener, shared: &Arc<ProxyShared>) {
                             }
                         }
                     }
+                    shared.end_session(session);
                 });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A predecessor that reconnects over and over must not leave its
+    /// dead sessions' sockets tracked by the proxy.
+    #[test]
+    fn reconnecting_client_does_not_accumulate_sessions() {
+        let target = TcpListener::bind("127.0.0.1:0").expect("bind target");
+        let target_addr = target.local_addr().expect("target addr").to_string();
+        // The target holds every connection open: only the client's
+        // close can end a session.
+        std::thread::spawn(move || target.incoming().collect::<Vec<_>>());
+        let proxy = FaultProxy::spawn(FaultProxyConfig {
+            target: target_addr,
+            ..FaultProxyConfig::default()
+        })
+        .expect("spawn proxy");
+        for _ in 0..50 {
+            drop(TcpStream::connect(proxy.addr()).expect("connect through proxy"));
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while proxy.shared.next_session.load(Ordering::SeqCst) < 50
+            || proxy.shared.conns.lock().len() > 1
+        {
+            assert!(
+                Instant::now() < deadline,
+                "{} sessions still tracked",
+                proxy.shared.conns.lock().len()
+            );
+            std::thread::sleep(Duration::from_millis(5));
         }
     }
 }

@@ -114,9 +114,10 @@ impl RunRecord {
 }
 
 /// Everything recorded about one simulated multi-moderator topology
-/// run (`run_topology_scenario`): N independent moderators in a ring,
-/// leases handed off over simulated channels with virtual-clock
-/// delivery delays. Same byte-identity contract as [`RunRecord`].
+/// run (`run_topology_scenario`): N lease nodes in a ring, each with
+/// its own moderator, handing leases off over virtual planes with
+/// virtual-clock delivery delays. Same byte-identity contract as
+/// [`RunRecord`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopologyRecord {
     /// Scheduler (and delivery-jitter) seed.
@@ -130,18 +131,18 @@ pub struct TopologyRecord {
     /// Upper bound on the seeded per-message delivery delay, in
     /// nanoseconds of virtual time (0 = instant delivery).
     pub max_delay_ns: u64,
-    /// Fault ablation: the global 1-based index of a handoff message
-    /// to drop in flight, if any. With recovery disabled
-    /// (`expiry_ns == 0`) a dropped handoff starves the receiving
-    /// courier's sequence cursor and the whole ring winds down into a
-    /// detected deadlock; with recovery enabled the sender retransmits
+    /// Fault ablation: the global 1-based index of a frame send to
+    /// sever if it is a grant. With recovery disabled
+    /// (`expiry_ns == 0`) the lost handoff starves the receiver's
+    /// sequence cursor and the whole ring winds down into a detected
+    /// deadlock; with recovery enabled the sender reclaims the lease
     /// and the run completes.
     pub drop_nth: Option<u64>,
-    /// Fault knob: the global 1-based index of a handoff message to
-    /// duplicate in flight, if any (socket-shaped channel).
+    /// Fault knob: the global 1-based index of a frame send to
+    /// duplicate in flight, if any.
     pub dup_nth: Option<u64>,
-    /// Lease expiry deadline in nanoseconds of virtual time; 0 runs
-    /// the pre-recovery protocol (no retransmission, no reclaim).
+    /// Lease expiry deadline in nanoseconds of virtual time; 0 turns
+    /// recovery off (no retransmission, no reclaim).
     pub expiry_ns: u64,
     /// Simulated-thread names, indexed by thread id.
     pub threads: Vec<String>,
@@ -150,8 +151,8 @@ pub struct TopologyRecord {
     /// Final virtual-clock reading, in nanoseconds.
     pub clock_ns: u128,
     /// `(channel, seq, lease)` per completed handoff, in delivery
-    /// order. Per channel, `seq` is strictly increasing — the courier
-    /// holds out-of-order arrivals back — which is the FIFO
+    /// order. Per channel, `seq` is strictly increasing — the
+    /// receiver's `LeaseIn` holds out-of-order arrivals back — the FIFO
     /// no-overtake obligation the model checker proves.
     pub handoffs: Vec<(u64, u64, u64)>,
     /// Lease ids in retirement order.

@@ -19,12 +19,13 @@
 //! the regenerated artifact byte-for-byte against the file; any
 //! divergence (including a schedule that no longer matches the code)
 //! exits non-zero. The `-topology` pair does the same for the
-//! multi-moderator lease-handoff ring. `--drop N` drops the Nth
-//! handoff in flight: without recovery (`--expiry-ns 0`, the default)
-//! the run ends in a detected deadlock; with `--expiry-ns` nonzero the
-//! handoff is severed and the recovery protocol (backoff retransmits,
-//! expiry, reclaim into degraded local moderation) carries the run to
-//! completion anyway. `--dup N` delivers the Nth handoff twice.
+//! multi-moderator lease-handoff ring of `amf_service::LeaseNode`s.
+//! `--drop N` severs the Nth frame send if it is a grant: with recovery
+//! off (`--expiry-ns 0`, the default) the run ends in a detected
+//! deadlock, whose artifact replays like any other; with `--expiry-ns`
+//! nonzero the recovery protocol (backoff retransmits, expiry, reclaim
+//! into degraded local moderation) carries the run to completion.
+//! `--dup N` delivers the Nth frame twice; the receiver drops the copy.
 
 use std::process::ExitCode;
 

@@ -9,19 +9,20 @@
 //! Running under a [`SimRunner`] yields a [`RunRecord`] whose schedule
 //! replays the run byte-identically.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once};
 use std::time::Duration;
 
 use amf_aspects::audit::{AuditAspect, AuditLog};
 use amf_aspects::fault::PanicInjectionAspect;
-use amf_concurrency::{Clock, GrantSource, Waiter};
+use amf_concurrency::{Clock, GrantSource, ManualClock, Waiter};
 use amf_core::trace::EventKind;
 use amf_core::{
-    AspectModerator, Concern, FairnessPolicy, FnAspect, InvocationContext, MemoryTrace,
-    MethodHandle, MethodId, PanicPolicy, Verdict,
+    AspectModerator, Concern, FairnessPolicy, FnAspect, InvocationContext, LeaseConfig, LeaseMsg,
+    MemoryTrace, MethodHandle, MethodId, PanicPolicy, Verdict,
 };
+use amf_service::codec::{decode_peer, decode_peer_wire};
+use amf_service::{LeaseNode, PeerStats};
 
 use crate::{RunRecord, SimRunner, TopologyRecord};
 
@@ -231,8 +232,8 @@ pub fn run_buffer_scenario(params: &ScenarioParams, script: Option<Vec<usize>>) 
 }
 
 /// Shape of one simulated multi-moderator topology run: a ring of
-/// [`TopologyParams::nodes`] *independent* [`AspectModerator`]
-/// instances connected by simulated lease-handoff channels.
+/// [`TopologyParams::nodes`] [`LeaseNode`]s, each with its own
+/// [`AspectModerator`], handing leases off over virtual planes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopologyParams {
     /// Scheduler and delivery-jitter seed.
@@ -245,43 +246,26 @@ pub struct TopologyParams {
     pub hops: u64,
     /// Upper bound on the seeded per-message delivery delay, in
     /// nanoseconds of virtual time. Nonzero values make arrivals
-    /// overtake each other in flight; the receiving courier reassembles
-    /// sequence order before granting.
+    /// overtake each other in flight; the receiver's `LeaseIn`
+    /// reassembles sequence order before granting.
     pub max_delay_ns: u64,
-    /// Drop knob: the nth handoff send (global 1-based count). With
-    /// recovery disabled (`expiry_ns == 0`) the one in-flight copy is
-    /// lost, the ring starves, and the run ends in a detected deadlock.
-    /// With recovery enabled the knob *severs* that handoff — every
-    /// retransmission of it is lost too — so the sender walks the full
+    /// Drop knob: *severs* the nth frame send (global 1-based count)
+    /// if it is a grant — that copy and every retransmission of it are
+    /// lost. With `expiry_ns == 0` nothing retransmits or reclaims, the
+    /// receiver's cursor starves, and the run ends in a detected
+    /// deadlock. With recovery enabled the sender walks the full
     /// recovery path: backoff retransmits, expiry, reclaim, degraded
     /// local moderation, and a cursor-advancing release.
     pub drop_nth: Option<u64>,
-    /// Duplicate knob: the nth handoff send is delivered twice, with
-    /// independent jitter. Harmless under recovery (the receiver dedups
-    /// idempotently); benign under the legacy courier (the stray copy
-    /// is simply never the cursor's next sequence).
+    /// Duplicate knob: the nth frame send is delivered twice, with
+    /// independent jitter. The receiver's dedup window counts the
+    /// stray copy in `dup_dropped` and never delivers it, with or
+    /// without recovery.
     pub dup_nth: Option<u64>,
-    /// Lease expiry deadline in nanoseconds of virtual time. 0 runs
-    /// the pre-recovery protocol (in-memory channels, no
-    /// retransmission); nonzero routes every handoff through the
-    /// socket-shaped channel as encoded wire frames driven by the
-    /// shared [`amf_core::lease`] state machine.
+    /// Lease expiry deadline in nanoseconds of virtual time. 0 turns
+    /// recovery off — no retransmission, no reclaim: the ablation the
+    /// recovery protocol is measured against, on the same ring.
     pub expiry_ns: u64,
-}
-
-impl Default for TopologyParams {
-    fn default() -> Self {
-        Self {
-            seed: 42,
-            nodes: 2,
-            leases: 2,
-            hops: 3,
-            max_delay_ns: 1_000,
-            drop_nth: None,
-            dup_nth: None,
-            expiry_ns: 0,
-        }
-    }
 }
 
 /// SplitMix64 finalizer: the per-message delivery jitter is a pure
@@ -296,17 +280,158 @@ fn jitter(seed: u64, channel: u64, seq: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One lease-handoff channel: messages in flight toward one node,
-/// tagged with a sender-assigned sequence number and a virtual-time
-/// delivery deadline. The receiving courier delivers strictly in
-/// sequence order (holding back early arrivals), which is what makes
-/// the handoff FIFO-preserving over a reorderable transport.
-#[derive(Default)]
-struct Channel {
-    /// `(seq, deliver_at, lease, visits_left)`, arrival order.
-    in_flight: Vec<(u64, Duration, u64, u64)>,
-    next_send: u64,
-    next_recv: u64,
+/// Frames in flight in one direction of a link: `(encoded body,
+/// deliver_at, tie-break index)`.
+type Flight = Vec<(Vec<u8>, Duration, u64)>;
+type Plane = (parking_lot::Mutex<Flight>, Arc<dyn Waiter<Flight>>);
+
+/// The ring, the virtual network between its nodes, and what the run
+/// records. `grant_planes[c]` delivers into node `c`; `ack_planes[c]`
+/// carries node `c`'s acks back to its predecessor. The grant plane
+/// drops, delays, and duplicates; the ack plane only delays — the
+/// declared fault model (acks ride the TCP return path).
+struct Net {
+    p: TopologyParams,
+    clock: ManualClock,
+    ring: Vec<LeaseNode>,
+    grant_planes: Vec<Plane>,
+    ack_planes: Vec<Plane>,
+    sends: AtomicU64,
+    acks: AtomicU64,
+    /// `(channel, seq)` of grants the drop knob severed.
+    severed: Mutex<Vec<(u64, u64)>>,
+    handoffs: Mutex<Vec<(u64, u64, u64)>>,
+    retired: Mutex<Vec<u64>>,
+}
+
+impl Net {
+    fn push(&self, plane: &Plane, body: Vec<u8>, delay: u64, index: u64) {
+        let deliver_at = self.clock.now() + Duration::from_nanos(delay % (self.p.max_delay_ns + 1));
+        plane.0.lock().push((body, deliver_at, index));
+        plane.1.wake_all();
+    }
+
+    /// Lock-then-wake: a thread parked on `plane` either sees what
+    /// changed on its next pass or takes this wake.
+    fn wake(plane: &Plane) {
+        drop(plane.0.lock());
+        plane.1.wake_all();
+    }
+
+    /// Puts every frame `node` queued onto grant plane `to`, applying
+    /// the drop (sever), duplicate, and delay knobs.
+    fn ship(&self, node: &LeaseNode, to: usize) {
+        for msg in node.take_outbound() {
+            let grant = matches!(msg, LeaseMsg::Grant { .. });
+            let key = (to as u64, msg.seq());
+            if grant && self.severed.lock().unwrap().contains(&key) {
+                continue;
+            }
+            let nth = self.sends.fetch_add(1, Ordering::SeqCst) + 1;
+            if grant && self.p.drop_nth == Some(nth) {
+                self.severed.lock().unwrap().push(key);
+                continue;
+            }
+            let body = node.encode(msg)[4..].to_vec();
+            let plane = &self.grant_planes[to];
+            if self.p.dup_nth == Some(nth) {
+                let delay = jitter(self.p.seed ^ 0xD0B1, key.0, nth);
+                self.push(plane, body.clone(), delay, nth | (1 << 63));
+            }
+            self.push(plane, body, jitter(self.p.seed, key.0, nth), nth);
+        }
+    }
+
+    /// Waits until a frame on `plane` is due or `timer` passes, then
+    /// takes the due frames in `(deliver_at, index)` order. `None` once
+    /// `node` stopped.
+    fn take_due(
+        &self,
+        plane: &Plane,
+        node: &LeaseNode,
+        timer: impl Fn() -> Option<Duration>,
+    ) -> Option<Flight> {
+        let mut g = plane.0.lock();
+        loop {
+            if node.stopped() {
+                return None;
+            }
+            let now = self.clock.now();
+            let (mut due, rest): (Flight, Flight) = g.drain(..).partition(|m| m.1 <= now);
+            *g = rest;
+            let timer = timer();
+            if !due.is_empty() || timer.is_some_and(|at| at <= now) {
+                due.sort_by_key(|m| (m.1, m.2));
+                return Some(due);
+            }
+            match g.iter().map(|m| m.1).chain(timer).min() {
+                Some(at) => {
+                    plane.1.park_for(&mut g, at - now);
+                }
+                None => plane.1.park(&mut g),
+            }
+        }
+    }
+
+    /// Runs every visit at node `i` and ships each grant onward; the
+    /// last retirement stops the whole ring.
+    fn worker(&self, i: usize) {
+        let (node, next) = (&self.ring[i], (i + 1) % self.ring.len());
+        while let Some(lease) = node.acquire() {
+            if !node.forward(lease, self.clock.now()) {
+                self.ship(node, next);
+                // The daemon may now have a retransmit timer to watch.
+                Net::wake(&self.ack_planes[next]);
+                continue;
+            }
+            let mut retired = self.retired.lock().unwrap();
+            retired.push(lease.lease);
+            if retired.len() as u64 == self.p.leases {
+                drop(retired);
+                self.ring.iter().for_each(LeaseNode::stop);
+                let planes = self.grant_planes.iter().chain(&self.ack_planes);
+                planes.for_each(Net::wake);
+            }
+        }
+    }
+
+    /// Feeds node `i` each due grant-plane frame and puts its ack on
+    /// the return plane.
+    fn courier(&self, i: usize) {
+        let node = &self.ring[i];
+        while let Some(due) = self.take_due(&self.grant_planes[i], node, || None) {
+            for (body, _, _) in due {
+                let Ok(frame) = decode_peer(&body) else {
+                    continue;
+                };
+                let Some((deliveries, ack)) = node.receive(frame.msg) else {
+                    continue;
+                };
+                let handoffs = deliveries.iter().map(|d| (i as u64, d.seq, d.lease));
+                self.handoffs.lock().unwrap().extend(handoffs);
+                let nth = self.acks.fetch_add(1, Ordering::SeqCst) + 1;
+                let delay = jitter(self.p.seed ^ 0xACC5, i as u64, nth);
+                let body = node.encode(ack)[4..].to_vec();
+                self.push(&self.ack_planes[i], body, delay, nth);
+            }
+        }
+    }
+
+    /// Feeds node `i` every ack due before its timers run — the reclaim
+    /// guard — then drives the timers and ships what they queue.
+    fn daemon(&self, i: usize) {
+        let (node, next) = (&self.ring[i], (i + 1) % self.ring.len());
+        let plane = &self.ack_planes[next];
+        while let Some(due) = self.take_due(plane, node, || node.next_deadline()) {
+            for (body, _, _) in due {
+                if let Ok(reply) = decode_peer_wire(&body) {
+                    node.on_reply(reply, self.clock.now());
+                }
+            }
+            node.poll(self.clock.now());
+            self.ship(node, next);
+        }
+    }
 }
 
 /// Runs the multi-moderator ring under a fresh simulation. With
@@ -314,16 +439,16 @@ struct Channel {
 /// `Some(schedule)` it replays that schedule. The returned record is a
 /// pure function of `(params, script)`.
 ///
-/// Per node: a *worker* thread acquires each arriving lease through
-/// the node's own moderator (`acquire` blocks on an empty inbox),
-/// reports one fast-lane `observe` telemetry call, and forwards the
-/// lease to the next node's channel with seeded virtual-clock delay; a
-/// *courier* thread reassembles its channel's sequence order —
-/// parking through the simulated engine while a message is missing or
-/// still in flight — and deposits each lease via a moderated `grant`
-/// whose post-activation wakes the worker. Dropping a handoff
-/// ([`TopologyParams::drop_nth`]) starves the courier's cursor and the
-/// run ends in a detected deadlock naming the parked ring.
+/// Every node is an [`amf_service::LeaseNode`] — the node
+/// [`amf_service::PeerNode`] drives over TCP — on the simulation's
+/// engine and clock, and every handoff is an encoded wire frame
+/// ([`amf_service::codec`]). Three simulated threads drive each node:
+/// the *worker* runs its visits, the *courier* feeds it due grants and
+/// releases and returns the acks, the *daemon* feeds it due acks and
+/// drives its timers. The last retirement stops every node. With
+/// `expiry_ns == 0` a dropped handoff ([`TopologyParams::drop_nth`])
+/// starves the receiver's cursor and the run ends in a detected
+/// deadlock naming the parked ring.
 pub fn run_topology_scenario(
     params: &TopologyParams,
     script: Option<Vec<usize>>,
@@ -333,671 +458,59 @@ pub fn run_topology_scenario(
         params.leases >= 1 && params.hops >= 1,
         "nothing to simulate"
     );
-    if params.expiry_ns > 0 {
-        return run_topology_recovery(params, script);
-    }
-    run_topology_legacy(params, script)
-}
-
-/// The pre-recovery ring: in-memory channels, fire-and-forget handoffs,
-/// strict sequence-cursor reassembly. A dropped handoff deadlocks the
-/// ring — which is the point of keeping this path: it is the ablation
-/// the recovery protocol is measured against.
-fn run_topology_legacy(params: &TopologyParams, script: Option<Vec<usize>>) -> TopologyRecord {
     let mut runner = match script {
         None => SimRunner::new(params.seed),
         Some(s) => SimRunner::replay(params.seed, s),
     };
     let engine = runner.engine();
-    let clock = runner.clock();
-    let nodes = params.nodes as usize;
-
-    struct Node {
-        moderator: Arc<AspectModerator>,
-        acquire: MethodHandle,
-        grant: MethodHandle,
-        observe: MethodHandle,
-        inbox: Arc<Mutex<VecDeque<(u64, u64)>>>,
-    }
-    let mut ring = Vec::with_capacity(nodes);
-    for _ in 0..nodes {
-        let moderator = Arc::new(
-            AspectModerator::builder()
-                .fairness(FairnessPolicy::Fifo)
-                .panic_policy(PanicPolicy::AbortInvocation)
-                .engine(Arc::new(runner.engine()))
-                .clock(Arc::new(runner.clock()))
-                .build(),
-        );
-        let acquire = moderator.declare_method(MethodId::new("acquire"));
-        let grant = moderator.declare_method(MethodId::new("grant"));
-        let observe = moderator.declare_method(MethodId::new("observe"));
-        let inbox: Arc<Mutex<VecDeque<(u64, u64)>>> = Arc::new(Mutex::new(VecDeque::new()));
-        {
-            let inbox = Arc::clone(&inbox);
-            moderator
-                .register(
-                    &acquire,
-                    Concern::synchronization(),
-                    Box::new(FnAspect::new("lease-gate").on_precondition(move |_| {
-                        if inbox.lock().unwrap().is_empty() {
-                            Verdict::Block
-                        } else {
-                            Verdict::Resume
-                        }
-                    })),
-                )
-                .expect("register lease-gate");
-        }
-        moderator
-            .register(
-                &grant,
-                Concern::new("handoff"),
-                Box::new(FnAspect::new("handoff")),
-            )
-            .expect("register handoff");
-        // Real library sink, declared pure: the telemetry row rides the
-        // lock-free fast lane, which is where the recorded `fast_path`
-        // counters come from.
-        moderator
-            .register(
-                &observe,
-                Concern::new("telemetry"),
-                Box::new(AuditAspect::new(AuditLog::shared())),
-            )
-            .expect("register telemetry");
-        moderator.wire_wakes(&grant, std::slice::from_ref(&acquire));
-        moderator.wire_wakes(&acquire, &[]);
-        moderator.wire_wakes(&observe, &[]);
-        ring.push(Node {
-            moderator,
-            acquire,
-            grant,
-            observe,
-            inbox,
-        });
-    }
-    // All leases start at node 0 with their full visit budget.
-    let total_visits = params.nodes * params.hops;
-    {
-        let mut inbox = ring[0].inbox.lock().unwrap();
-        for lease in 0..params.leases {
-            inbox.push_back((lease, total_visits));
-        }
-    }
-
-    // Channel `c` delivers into node `c`; node `i`'s worker sends into
-    // channel `(i + 1) % nodes`.
-    type ChannelSlot = Arc<(parking_lot::Mutex<Channel>, Arc<dyn Waiter<Channel>>)>;
-    let channels: Vec<ChannelSlot> = (0..nodes)
-        .map(|_| {
-            Arc::new((
-                parking_lot::Mutex::new(Channel::default()),
-                GrantSource::<Channel>::waiter(&engine),
-            ))
-        })
-        .collect();
-    let sends = Arc::new(AtomicU64::new(0));
-    let handoffs: Arc<Mutex<Vec<(u64, u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let retired: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-
-    fn invoke_ok(m: &AspectModerator, h: &MethodHandle) {
-        let mut ctx = InvocationContext::new(h.id().clone(), m.next_invocation());
-        m.preactivation(h, &mut ctx)
-            .expect("topology rows never abort");
-        m.postactivation(h, &mut ctx);
-    }
-
-    for (i, node) in ring.iter().enumerate() {
-        // Worker: acquire every lease visit at this node, observe, and
-        // forward (or retire) the lease.
-        let m = Arc::clone(&node.moderator);
-        let (acquire, observe) = (node.acquire.clone(), node.observe.clone());
-        let inbox = Arc::clone(&node.inbox);
-        let next_channel = Arc::clone(&channels[(i + 1) % nodes]);
-        let next_c = ((i + 1) % nodes) as u64;
-        let (sends, retired) = (Arc::clone(&sends), Arc::clone(&retired));
-        let (clock_w, p) = (clock.clone(), params.clone());
-        runner.spawn(&format!("w{i}"), move || {
-            for _ in 0..p.leases * p.hops {
-                let mut ctx = InvocationContext::new(acquire.id().clone(), m.next_invocation());
-                m.preactivation(&acquire, &mut ctx)
-                    .expect("acquire never aborts");
-                let (lease, visits) = inbox
-                    .lock()
-                    .unwrap()
-                    .pop_front()
-                    .expect("a resumed acquire finds a lease");
-                m.postactivation(&acquire, &mut ctx);
-                invoke_ok(&m, &observe);
-                let visits = visits - 1;
-                if visits == 0 {
-                    retired.lock().unwrap().push(lease);
-                    continue;
-                }
-                let (ch, waiter) = &*next_channel;
-                let mut g = ch.lock();
-                let seq = g.next_send;
-                g.next_send += 1;
-                let nth = sends.fetch_add(1, Ordering::SeqCst) + 1;
-                if p.drop_nth == Some(nth) {
-                    continue; // lost in flight; the sequence number is gone with it
-                }
-                let delay = jitter(p.seed, next_c, seq) % (p.max_delay_ns + 1);
-                let deliver_at = clock_w.now() + Duration::from_nanos(delay);
-                g.in_flight.push((seq, deliver_at, lease, visits));
-                if p.dup_nth == Some(nth) {
-                    // A stray duplicate: same sequence number, its own
-                    // jitter. The courier's cursor delivers the first
-                    // copy it reaches and the stray is never `want`ed
-                    // again — benign by construction here, counted and
-                    // dropped by the recovery path's dedup window.
-                    let delay = jitter(p.seed ^ 0xD0B1, next_c, seq) % (p.max_delay_ns + 1);
-                    let deliver_at = clock_w.now() + Duration::from_nanos(delay);
-                    g.in_flight.push((seq, deliver_at, lease, visits));
-                }
-                drop(g);
-                waiter.wake_all();
-            }
-        });
-
-        // Courier: reassemble the channel's sequence order, honoring
-        // each message's virtual delivery time, and grant each lease
-        // into the node through its moderator.
-        let m = Arc::clone(&node.moderator);
-        let grant = node.grant.clone();
-        let inbox = Arc::clone(&node.inbox);
-        let channel = Arc::clone(&channels[i]);
-        let handoffs = Arc::clone(&handoffs);
-        let (clock_c, p) = (clock.clone(), params.clone());
-        let c = i as u64;
-        runner.spawn(&format!("courier{i}"), move || {
-            let expected = p.leases * p.hops - if c == 0 { p.leases } else { 0 };
-            for _ in 0..expected {
-                let (seq, lease, visits) = {
-                    let (ch, waiter) = &*channel;
-                    let mut g = ch.lock();
-                    loop {
-                        let want = g.next_recv;
-                        match g.in_flight.iter().position(|msg| msg.0 == want) {
-                            Some(pos) => {
-                                let now = clock_c.now();
-                                let deliver_at = g.in_flight[pos].1;
-                                if deliver_at <= now {
-                                    let (seq, _, lease, visits) = g.in_flight.remove(pos);
-                                    g.next_recv += 1;
-                                    break (seq, lease, visits);
-                                }
-                                waiter.park_for(&mut g, deliver_at - now);
-                            }
-                            None => waiter.park(&mut g),
-                        }
-                    }
-                };
-                handoffs.lock().unwrap().push((c, seq, lease));
-                inbox.lock().unwrap().push_back((lease, visits));
-                invoke_ok(&m, &grant);
-            }
-        });
-    }
-
-    let report = runner.run();
-    let (mut admits, mut fallbacks) = (0, 0);
-    for node in &ring {
-        let s = node.moderator.stats();
-        admits += s.fast_path_admits;
-        fallbacks += s.fast_path_fallbacks;
-    }
-    let handoffs = handoffs.lock().unwrap().clone();
-    let retired = retired.lock().unwrap().clone();
-    TopologyRecord {
-        seed: params.seed,
-        nodes: params.nodes,
-        leases: params.leases,
-        hops: params.hops,
-        max_delay_ns: params.max_delay_ns,
-        drop_nth: params.drop_nth,
-        dup_nth: params.dup_nth,
-        expiry_ns: params.expiry_ns,
-        threads: report.names,
-        schedule: report.schedule,
-        clock_ns: report.clock.as_nanos(),
-        handoffs,
-        retired,
-        retransmits: 0,
-        reclaimed: 0,
-        dup_dropped: 0,
-        degraded_entries: 0,
-        fast_path_admits: admits,
-        fast_path_fallbacks: fallbacks,
-        error: report.error,
-    }
-}
-
-/// The recovery-protocol ring over a *socket-shaped* fault channel:
-/// every handoff is an encoded wire frame ([`amf_service::codec`]),
-/// every link runs the shared [`amf_core::lease`] state machine —
-/// exactly the code path the live [`amf_service::PeerNode`] drives over
-/// TCP, here under the virtual clock so record→replay covers it.
-///
-/// Per node, three simulated threads: the *worker* moderates each
-/// lease visit and grants the lease onward through its link's
-/// [`LeaseOut`]; the *courier* decodes deliverable frames, runs the
-/// receiver half ([`LeaseIn`]: dedup window, cursor reassembly, hop
-/// fencing) and acks on the reliable return plane; the *daemon* drains
-/// acks and drives the retransmit/expiry timers. With recovery enabled,
-/// [`TopologyParams::drop_nth`] severs its handoff entirely (every
-/// retransmission lost), so the sender expires the lease, reclaims it
-/// into degraded local moderation, and releases the sequence hole.
-fn run_topology_recovery(params: &TopologyParams, script: Option<Vec<usize>>) -> TopologyRecord {
-    use amf_core::{LeaseAction, LeaseConfig, LeaseIn, LeaseMsg, LeaseOut};
-    use amf_service::codec::{decode_peer, encode_peer, PeerFrame};
-
-    let mut runner = match script {
-        None => SimRunner::new(params.seed),
-        Some(s) => SimRunner::replay(params.seed, s),
-    };
-    let engine = runner.engine();
-    let clock = runner.clock();
-    let nodes = params.nodes as usize;
     let lease_cfg = LeaseConfig {
         expiry: Duration::from_nanos(params.expiry_ns),
         backoff_base: Duration::from_nanos((params.expiry_ns / 8).max(1)),
         backoff_cap: Duration::from_nanos((params.expiry_ns / 2).max(1)),
         jitter_seed: params.seed,
     };
-
-    /// Delivered `(lease, hop, visits)` triples; `None` is the
-    /// completion poison pill.
-    type Inbox = Arc<Mutex<VecDeque<Option<(u64, u64, u64)>>>>;
-    struct Node {
-        moderator: Arc<AspectModerator>,
-        acquire: MethodHandle,
-        grant: MethodHandle,
-        observe: MethodHandle,
-        inbox: Inbox,
-        out: Arc<parking_lot::Mutex<LeaseOut>>,
-        inn: Arc<parking_lot::Mutex<LeaseIn>>,
-    }
-    let mut ring = Vec::with_capacity(nodes);
-    for _ in 0..nodes {
-        let moderator = Arc::new(
-            AspectModerator::builder()
-                .fairness(FairnessPolicy::Fifo)
-                .panic_policy(PanicPolicy::AbortInvocation)
+    let ring: Vec<LeaseNode> = (0..params.nodes)
+        .map(|i| {
+            let builder = AspectModerator::builder()
                 .engine(Arc::new(runner.engine()))
-                .clock(Arc::new(runner.clock()))
-                .build(),
-        );
-        let acquire = moderator.declare_method(MethodId::new("acquire"));
-        let grant = moderator.declare_method(MethodId::new("grant"));
-        let observe = moderator.declare_method(MethodId::new("observe"));
-        let inbox: Inbox = Arc::new(Mutex::new(VecDeque::new()));
-        {
-            let inbox = Arc::clone(&inbox);
-            moderator
-                .register(
-                    &acquire,
-                    Concern::synchronization(),
-                    Box::new(FnAspect::new("lease-gate").on_precondition(move |_| {
-                        if inbox.lock().unwrap().is_empty() {
-                            Verdict::Block
-                        } else {
-                            Verdict::Resume
-                        }
-                    })),
-                )
-                .expect("register lease-gate");
-        }
-        moderator
-            .register(
-                &grant,
-                Concern::new("handoff"),
-                Box::new(FnAspect::new("handoff")),
-            )
-            .expect("register handoff");
-        moderator
-            .register(
-                &observe,
-                Concern::new("telemetry"),
-                Box::new(AuditAspect::new(AuditLog::shared())),
-            )
-            .expect("register telemetry");
-        moderator.wire_wakes(&grant, std::slice::from_ref(&acquire));
-        moderator.wire_wakes(&acquire, &[]);
-        moderator.wire_wakes(&observe, &[]);
-        ring.push(Node {
-            moderator,
-            acquire,
-            grant,
-            observe,
-            inbox,
-            out: Arc::new(parking_lot::Mutex::new(LeaseOut::new(lease_cfg.clone()))),
-            inn: Arc::new(parking_lot::Mutex::new(LeaseIn::new())),
-        });
-    }
-    let total_visits = params.nodes * params.hops;
-    {
-        let mut inbox = ring[0].inbox.lock().unwrap();
-        for lease in 0..params.leases {
-            inbox.push_back(Some((lease, 0, total_visits)));
-        }
-    }
-
-    /// One frame in one direction of a link: `(encoded body,
-    /// deliver_at, tie-break index)`.
-    type Flight = Vec<(Vec<u8>, Duration, u64)>;
-    type Plane = Arc<(parking_lot::Mutex<Flight>, Arc<dyn Waiter<Flight>>)>;
-    let new_plane = || -> Plane {
-        Arc::new((
-            parking_lot::Mutex::new(Vec::new()),
-            GrantSource::<Flight>::waiter(&engine),
-        ))
+                .clock(Arc::new(runner.clock()));
+            LeaseNode::new(i, builder, lease_cfg.clone(), 0)
+        })
+        .collect();
+    ring[0].seed(params.leases, params.nodes * params.hops);
+    let planes = || -> Vec<Plane> {
+        let plane = || (Default::default(), GrantSource::<Flight>::waiter(&engine));
+        ring.iter().map(|_| plane()).collect()
     };
-    // grant_plane[c] delivers into node c; ack_plane[c] carries node
-    // c's acks back toward its predecessor. The grant plane drops,
-    // delays, and duplicates; the ack plane only delays — the declared
-    // fault model (acks ride the TCP return path).
-    let grant_planes: Vec<Plane> = (0..nodes).map(|_| new_plane()).collect();
-    let ack_planes: Vec<Plane> = (0..nodes).map(|_| new_plane()).collect();
-
-    let sends = Arc::new(AtomicU64::new(0));
-    let acks_sent = Arc::new(AtomicU64::new(0));
-    // Handoffs the drop knob has severed: every copy of these
-    // `(channel, seq)` grants is lost, retransmits included.
-    let severed: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let handoffs: Arc<Mutex<Vec<(u64, u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let retired: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let degraded_entries = Arc::new(AtomicU64::new(0));
-    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-
-    fn invoke_ok(m: &AspectModerator, h: &MethodHandle) {
-        let mut ctx = InvocationContext::new(h.id().clone(), m.next_invocation());
-        m.preactivation(h, &mut ctx)
-            .expect("topology rows never abort");
-        m.postactivation(h, &mut ctx);
-    }
-
-    // Sends `msg` from node `from` onto grant plane `to`, applying the
-    // drop (sever), duplicate, and delay knobs. Returns whether the
-    // frame actually entered the channel.
-    let send_grant = {
-        let sends = Arc::clone(&sends);
-        let severed = Arc::clone(&severed);
-        let clock = clock.clone();
-        let p = params.clone();
-        move |planes: &[Plane], from: u64, to: u64, msg: LeaseMsg| {
-            let is_grant = matches!(msg, LeaseMsg::Grant { .. });
-            if is_grant && severed.lock().unwrap().contains(&(to, msg.seq())) {
-                return; // the severed handoff: every copy is lost
-            }
-            let nth = sends.fetch_add(1, Ordering::SeqCst) + 1;
-            if is_grant && p.drop_nth == Some(nth) {
-                severed.lock().unwrap().push((to, msg.seq()));
-                return;
-            }
-            let frame = encode_peer(&PeerFrame { node: from, msg });
-            let body = frame[4..].to_vec();
-            let (ch, waiter) = &*planes[to as usize];
-            let mut g = ch.lock();
-            let delay = jitter(p.seed, to, nth) % (p.max_delay_ns + 1);
-            g.push((body.clone(), clock.now() + Duration::from_nanos(delay), nth));
-            if p.dup_nth == Some(nth) {
-                let delay = jitter(p.seed ^ 0xD0B1, to, nth) % (p.max_delay_ns + 1);
-                g.push((
-                    body,
-                    clock.now() + Duration::from_nanos(delay),
-                    nth | (1 << 63),
-                ));
-            }
-            drop(g);
-            waiter.wake_all();
-        }
-    };
-
-    // Flood every inbox with a poison pill and wake every plane: the
-    // last retirement releases the whole ring.
-    let finish = {
-        let done = Arc::clone(&done);
-        move |ring: &[Node], grant_planes: &[Plane], ack_planes: &[Plane]| {
-            done.store(true, Ordering::SeqCst);
-            for node in ring {
-                node.inbox.lock().unwrap().push_back(None);
-                invoke_ok(&node.moderator, &node.grant);
-            }
-            for plane in grant_planes.iter().chain(ack_planes) {
-                // Lock-then-wake: a thread that checked `done` before
-                // this store is either still holding the plane mutex
-                // (we serialize behind it) or already parked (the wake
-                // reaches it). Either way the wake cannot be lost.
-                let (ch, waiter) = &**plane;
-                drop(ch.lock());
-                waiter.wake_all();
-            }
-        }
-    };
-
-    let ring = Arc::new(ring);
-    let grant_planes = Arc::new(grant_planes);
-    let ack_planes = Arc::new(ack_planes);
-
-    for i in 0..nodes {
-        let next = (i + 1) % nodes;
-        // Worker: moderate every visit, forward through LeaseOut.
-        {
-            let ring = Arc::clone(&ring);
-            let (grant_planes, ack_planes) = (Arc::clone(&grant_planes), Arc::clone(&ack_planes));
-            let (retired, degraded_entries) = (Arc::clone(&retired), Arc::clone(&degraded_entries));
-            let (send_grant, finish) = (send_grant.clone(), finish.clone());
-            let clock = clock.clone();
-            let p = params.clone();
-            runner.spawn(&format!("w{i}"), move || {
-                let node = &ring[i];
-                loop {
-                    let mut ctx = InvocationContext::new(
-                        node.acquire.id().clone(),
-                        node.moderator.next_invocation(),
-                    );
-                    node.moderator
-                        .preactivation(&node.acquire, &mut ctx)
-                        .expect("acquire never aborts");
-                    let entry = node.inbox.lock().unwrap().pop_front().flatten();
-                    node.moderator.postactivation(&node.acquire, &mut ctx);
-                    let Some((lease, hop, visits)) = entry else {
-                        break;
-                    };
-                    invoke_ok(&node.moderator, &node.observe);
-                    if node.out.lock().degraded() {
-                        degraded_entries.fetch_add(1, Ordering::SeqCst);
-                    }
-                    let visits = visits - 1;
-                    if visits == 0 {
-                        let mut r = retired.lock().unwrap();
-                        r.push(lease);
-                        if r.len() as u64 == p.leases {
-                            drop(r);
-                            finish(&ring, &grant_planes, &ack_planes);
-                        }
-                        continue;
-                    }
-                    let msg = node.out.lock().grant(lease, hop + 1, visits, clock.now());
-                    send_grant(&grant_planes, i as u64, next as u64, msg);
-                    // The daemon may now have a retransmit timer to
-                    // watch; lock-then-wake so it either sees the new
-                    // deadline on its next pass or takes this wake.
-                    let (ch, waiter) = &*ack_planes[next];
-                    drop(ch.lock());
-                    waiter.wake_all();
-                }
-            });
-        }
-        // Courier: decode deliverable frames, run the receiver half,
-        // ack on the return plane.
-        {
-            let ring = Arc::clone(&ring);
-            let (grant_planes, ack_planes) = (Arc::clone(&grant_planes), Arc::clone(&ack_planes));
-            let handoffs = Arc::clone(&handoffs);
-            let (acks_sent, done) = (Arc::clone(&acks_sent), Arc::clone(&done));
-            let clock = clock.clone();
-            let p = params.clone();
-            runner.spawn(&format!("courier{i}"), move || {
-                let node = &ring[i];
-                loop {
-                    let body = {
-                        let (ch, waiter) = &*grant_planes[i];
-                        let mut g = ch.lock();
-                        loop {
-                            if done.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            let now = clock.now();
-                            // Deliver the earliest-due frame; insertion
-                            // index breaks ties deterministically.
-                            let due = g
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, m)| m.1 <= now)
-                                .min_by_key(|(_, m)| (m.1, m.2))
-                                .map(|(idx, _)| idx);
-                            if let Some(idx) = due {
-                                break g.remove(idx).0;
-                            }
-                            match g.iter().map(|m| m.1).min() {
-                                Some(at) => {
-                                    waiter.park_for(&mut g, at - now);
-                                }
-                                None => waiter.park(&mut g),
-                            }
-                        }
-                    };
-                    let Ok(frame) = decode_peer(&body) else {
-                        continue;
-                    };
-                    let (deliveries, ack) = {
-                        let mut inn = node.inn.lock();
-                        match frame.msg {
-                            LeaseMsg::Grant {
-                                seq,
-                                lease,
-                                hop,
-                                visits,
-                            } => inn.on_grant(seq, lease, hop, visits),
-                            LeaseMsg::Release { seq } => inn.on_release(seq),
-                            LeaseMsg::Ack { .. } => continue,
-                        }
-                    };
-                    for d in deliveries {
-                        handoffs.lock().unwrap().push((i as u64, d.seq, d.lease));
-                        node.inbox
-                            .lock()
-                            .unwrap()
-                            .push_back(Some((d.lease, d.hop, d.visits)));
-                        invoke_ok(&node.moderator, &node.grant);
-                    }
-                    // Ack on the reliable return plane, with delay.
-                    let nth = acks_sent.fetch_add(1, Ordering::SeqCst) + 1;
-                    let frame = encode_peer(&PeerFrame {
-                        node: i as u64,
-                        msg: ack,
-                    });
-                    let (ch, waiter) = &*ack_planes[i];
-                    let mut g = ch.lock();
-                    let delay = jitter(p.seed ^ 0xACC5, i as u64, nth) % (p.max_delay_ns + 1);
-                    g.push((
-                        frame[4..].to_vec(),
-                        clock.now() + Duration::from_nanos(delay),
-                        nth,
-                    ));
-                    drop(g);
-                    waiter.wake_all();
-                }
-            });
-        }
-        // Daemon: drain due acks, drive retransmit/expiry timers.
-        {
-            let ring = Arc::clone(&ring);
-            let (grant_planes, ack_planes) = (Arc::clone(&grant_planes), Arc::clone(&ack_planes));
-            let done = Arc::clone(&done);
-            let send_grant = send_grant.clone();
-            let clock = clock.clone();
-            runner.spawn(&format!("daemon{i}"), move || {
-                let node = &ring[i];
-                loop {
-                    // Drain every ack due by now — the "drain readable
-                    // acks before poll" reclaim guard — then park until
-                    // the next ack arrival or retransmit/expiry timer.
-                    let mut due_acks = {
-                        let (ch, waiter) = &*ack_planes[next];
-                        let mut g = ch.lock();
-                        if done.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let now = clock.now();
-                        let (due, rest): (Flight, Flight) = g.drain(..).partition(|m| m.1 <= now);
-                        *g = rest;
-                        if due.is_empty() {
-                            let timer = node.out.lock().next_deadline();
-                            let next_at = g.iter().map(|m| m.1).min();
-                            let wake_at = [timer, next_at].into_iter().flatten().min();
-                            match wake_at {
-                                Some(at) if at > now => {
-                                    waiter.park_for(&mut g, at - now);
-                                }
-                                Some(_) => {} // a timer is already due
-                                None => waiter.park(&mut g),
-                            }
-                            if done.load(Ordering::SeqCst) {
-                                return;
-                            }
-                        }
-                        due
-                    };
-                    due_acks.sort_by_key(|m| (m.1, m.2));
-                    for (body, _, _) in due_acks {
-                        let Ok(frame) = decode_peer(&body) else {
-                            continue;
-                        };
-                        if let LeaseMsg::Ack { seq, cursor } = frame.msg {
-                            node.out.lock().on_ack(seq, cursor, clock.now());
-                        }
-                    }
-                    let actions = node.out.lock().poll(clock.now());
-                    for a in actions {
-                        match a {
-                            LeaseAction::Send(msg) => {
-                                send_grant(&grant_planes, i as u64, next as u64, msg);
-                            }
-                            LeaseAction::Reclaim { lease, hop, visits } => {
-                                // Ours again: fence the hop, moderate
-                                // it locally (degraded entry).
-                                node.inn.lock().fence(lease, hop);
-                                node.inbox
-                                    .lock()
-                                    .unwrap()
-                                    .push_back(Some((lease, hop, visits)));
-                                invoke_ok(&node.moderator, &node.grant);
-                            }
-                        }
-                    }
-                }
-            });
+    let net = Arc::new(Net {
+        p: params.clone(),
+        clock: runner.clock(),
+        grant_planes: planes(),
+        ack_planes: planes(),
+        ring,
+        sends: AtomicU64::new(0),
+        acks: AtomicU64::new(0),
+        severed: Mutex::new(Vec::new()),
+        handoffs: Mutex::new(Vec::new()),
+        retired: Mutex::new(Vec::new()),
+    });
+    for i in 0..net.ring.len() {
+        let roles = [
+            ("w", Net::worker as fn(&_, _)),
+            ("courier", Net::courier),
+            ("daemon", Net::daemon),
+        ];
+        for (role, body) in roles {
+            let net = Arc::clone(&net);
+            runner.spawn(&format!("{role}{i}"), move || body(&net, i));
         }
     }
 
     let report = runner.run();
-    let (mut admits, mut fallbacks) = (0, 0);
-    let (mut retransmits, mut reclaimed, mut dup_dropped) = (0, 0, 0);
-    for node in ring.iter() {
-        let s = node.moderator.stats();
-        admits += s.fast_path_admits;
-        fallbacks += s.fast_path_fallbacks;
-        let o = node.out.lock().stats();
-        retransmits += o.retransmits;
-        reclaimed += o.reclaimed;
-        dup_dropped += node.inn.lock().stats().dup_dropped;
-    }
-    let handoffs = handoffs.lock().unwrap().clone();
-    let retired = retired.lock().unwrap().clone();
+    let stats: Vec<PeerStats> = net.ring.iter().map(LeaseNode::stats).collect();
+    let sum = |f: fn(&PeerStats) -> u64| stats.iter().map(f).sum();
+    let handoffs = net.handoffs.lock().unwrap().clone();
+    let retired = net.retired.lock().unwrap().clone();
     TopologyRecord {
         seed: params.seed,
         nodes: params.nodes,
@@ -1012,12 +525,12 @@ fn run_topology_recovery(params: &TopologyParams, script: Option<Vec<usize>>) ->
         clock_ns: report.clock.as_nanos(),
         handoffs,
         retired,
-        retransmits,
-        reclaimed,
-        dup_dropped,
-        degraded_entries: degraded_entries.load(Ordering::SeqCst),
-        fast_path_admits: admits,
-        fast_path_fallbacks: fallbacks,
+        retransmits: sum(|s| s.retransmits),
+        reclaimed: sum(|s| s.reclaimed),
+        dup_dropped: sum(|s| s.dup_dropped),
+        degraded_entries: sum(|s| s.degraded_entries),
+        fast_path_admits: sum(|s| s.fast_path_admits),
+        fast_path_fallbacks: sum(|s| s.fast_path_fallbacks),
         error: report.error,
     }
 }

@@ -449,10 +449,11 @@ fn scenario_artifact_surfaces_fast_path_counters() {
 }
 
 // ------------------------------------------------------------------ //
-// Multi-moderator topology: a ring of independent moderators joined by
-// simulated lease-handoff channels (virtual-clock delays, reorderable
-// in flight, droppable). The model-checked twin of these properties
-// lives in crates/verify/tests/multi_moderator.rs.
+// Multi-moderator topology: a ring of lease nodes, each with its own
+// moderator, joined by virtual planes (virtual-clock delays, reorderable
+// in flight, droppable). Recovery is off (`expiry_ns == 0`) in this
+// block. The model-checked twin of these properties lives in
+// crates/verify/tests/multi_moderator.rs.
 // ------------------------------------------------------------------ //
 
 /// The 2-node lease handoff records and replays byte-identically, the
@@ -559,13 +560,15 @@ fn topology_dropped_handoff_is_a_detected_deadlock() {
     assert_eq!(header.drop_nth, Some(3));
     // Fewer leases retire than circulate: the ring really starved.
     assert!(recorded.retired.len() < params.leases as usize + 1);
+    // The stuck run replays byte-identically, deadlock and all.
+    let replayed = run_topology_scenario(&params, Some(header.schedule));
+    assert_eq!(replayed.to_json(), json, "byte-identical reproduction");
 }
 
 // ------------------------------------------------------------------ //
-// Recovery mode (`expiry_ns > 0`): every handoff travels as an encoded
-// wire frame through the socket-shaped fault channel, driven by the
-// shared amf_core::lease state machine — the same code path the live
-// TCP peers run, here under the virtual clock.
+// Recovery mode (`expiry_ns > 0`): the same ring with retransmission,
+// expiry and reclaim switched on — the node the live TCP peers run,
+// here under the virtual clock.
 // ------------------------------------------------------------------ //
 
 /// A clean recovery-mode ring retires every lease with no reclaims and
@@ -612,10 +615,11 @@ fn recovery_topology_record_then_replay_is_byte_identical() {
     assert_eq!(replayed.to_json(), json, "byte-identical reproduction");
 }
 
-/// The same dropped handoff that deadlocks the legacy ring is absorbed
-/// by the recovery protocol: the sender retransmits into the severed
-/// link, expires, reclaims the lease into degraded local moderation,
-/// and the run completes with every lease retired exactly once.
+/// The same dropped handoff that deadlocks the ring with recovery off
+/// is absorbed by the recovery protocol: the sender retransmits into
+/// the severed link, expires, reclaims the lease into degraded local
+/// moderation, and the run completes with every lease retired exactly
+/// once.
 #[test]
 fn recovery_severed_handoff_reclaims_instead_of_deadlocking() {
     let params = TopologyParams {
@@ -653,38 +657,42 @@ fn recovery_severed_handoff_reclaims_instead_of_deadlocking() {
 }
 
 /// A duplicated handoff is detected by the receiver's dedup window and
-/// dropped idempotently: the duplicate is counted, never delivered.
+/// dropped idempotently: the duplicate is counted, never delivered —
+/// with recovery off too, since it is the same ring either way.
 #[test]
 fn recovery_duplicated_handoff_is_deduplicated() {
-    let params = TopologyParams {
-        seed: 99,
-        nodes: 2,
-        leases: 2,
-        hops: 3,
-        max_delay_ns: 1_000,
-        drop_nth: None,
-        dup_nth: Some(2),
-        expiry_ns: 50_000_000,
-    };
-    let recorded = run_topology_scenario(&params, None);
-    assert_eq!(recorded.error, None, "{recorded:?}");
-    let mut retired = recorded.retired.clone();
-    retired.sort_unstable();
-    assert_eq!(retired, vec![0, 1], "no lease doubled by the duplicate");
-    assert!(
-        recorded.dup_dropped > 0,
-        "the duplicate must be counted and dropped: {recorded:?}"
-    );
-    // Deliveries are still unique per (channel, seq).
-    let mut keys: Vec<(u64, u64)> = recorded.handoffs.iter().map(|(c, s, _)| (*c, *s)).collect();
-    let before = keys.len();
-    keys.sort_unstable();
-    keys.dedup();
-    assert_eq!(keys.len(), before, "no (channel, seq) delivered twice");
+    for expiry_ns in [50_000_000, 0] {
+        let params = TopologyParams {
+            seed: 99,
+            nodes: 2,
+            leases: 2,
+            hops: 3,
+            max_delay_ns: 1_000,
+            drop_nth: None,
+            dup_nth: Some(2),
+            expiry_ns,
+        };
+        let recorded = run_topology_scenario(&params, None);
+        assert_eq!(recorded.error, None, "{recorded:?}");
+        let mut retired = recorded.retired.clone();
+        retired.sort_unstable();
+        assert_eq!(retired, vec![0, 1], "no lease doubled by the duplicate");
+        assert!(
+            recorded.dup_dropped > 0,
+            "the duplicate must be counted and dropped: {recorded:?}"
+        );
+        // Deliveries are still unique per (channel, seq).
+        let mut keys: Vec<(u64, u64)> =
+            recorded.handoffs.iter().map(|(c, s, _)| (*c, *s)).collect();
+        let before = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), before, "no (channel, seq) delivered twice");
+    }
 }
 
-/// Recovery-mode runs are a pure function of the seed, like the legacy
-/// path: same seed twice gives the same artifact.
+/// Recovery-mode runs are a pure function of the seed, like runs with
+/// recovery off: same seed twice gives the same artifact.
 #[test]
 fn recovery_topology_runs_are_deterministic_per_seed() {
     let params = TopologyParams {

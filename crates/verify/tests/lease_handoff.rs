@@ -28,8 +28,8 @@
 //!
 //! * no dedup — a duplicated frame grants twice (invariant violation);
 //! * no expiry — a severed link strands the pending slot and the
-//!   sender deadlocks (the model twin of the sim's legacy `drop_nth`
-//!   deadlock);
+//!   sender deadlocks (the model twin of the sim's `drop_nth`
+//!   deadlock at `expiry_ns == 0`);
 //! * reckless expiry — an expiry that ignores in-flight traffic
 //!   (ablating the drain-acks-before-poll guard) reclaims a lease the
 //!   receiver then also grants: double grant.
@@ -67,7 +67,7 @@ enum Expiry {
     /// Fires whenever a grant is pending, traffic or not: the ablation
     /// of the guard.
     Reckless,
-    /// Never fires (the `expiry_ns == 0` legacy path).
+    /// Never fires (the sim ring at `expiry_ns == 0`).
     Disabled,
 }
 
@@ -461,8 +461,8 @@ fn no_dedup_ablation_double_grants() {
 
 /// Without expiry a severed link strands the pending slot forever: the
 /// sender's next transmit blocks on the stop-and-wait gate and the
-/// whole link deadlocks — the model twin of the sim's legacy
-/// `drop_nth` detected deadlock.
+/// whole link deadlocks — the model twin of the sim's `drop_nth`
+/// detected deadlock at `expiry_ns == 0`.
 #[test]
 fn no_expiry_ablation_deadlocks_on_a_severed_link() {
     let (none, dpor) = differential(Proto {
