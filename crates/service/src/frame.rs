@@ -6,8 +6,8 @@
 //! transport: a blocking socket read, a nonblocking readiness loop, a
 //! test vector) and yields complete frame *bodies*; [`FrameEncoder`]
 //! produces prefixed bytes. Neither touches a socket, so the blocking
-//! client, the readiness-driven reactor front, and `PeerNode` all share
-//! the same parsing with their own IO strategies on top.
+//! client and both readiness loops (the reactor front, `PeerNode`'s I/O
+//! loop) share the same parsing with their own IO strategies on top.
 //!
 //! The decoder is incremental and restartable at every byte boundary:
 //! `feed` accepts arbitrary chunkings of the stream, including one byte
@@ -167,11 +167,6 @@ impl FrameDecoder {
     /// Pops the oldest completed frame body, if any.
     pub fn next_frame(&mut self) -> Option<Vec<u8>> {
         self.ready.pop_front()
-    }
-
-    /// Completed frames waiting to be popped.
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
     }
 
     /// Bytes required to complete the element currently in progress (4

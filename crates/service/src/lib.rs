@@ -30,6 +30,7 @@ pub mod codec;
 pub mod frame;
 pub mod node;
 pub mod peer;
+mod poll;
 pub mod reactor;
 pub mod server;
 

@@ -5,7 +5,7 @@
 //! lease-link halves ([`LeaseOut`] to the successor, [`LeaseIn`] from the
 //! predecessor), the outbound frame queue, and its counters. It opens no
 //! socket and reads no clock: steps that need time take the caller's
-//! `now`. [`crate::PeerNode`] drives it over TCP threads; `amf-sim`'s
+//! `now`. [`crate::PeerNode`] drives it from one readiness loop; `amf-sim`'s
 //! topology scenario drives the same node over virtual planes, so the
 //! simulator records and replays the node that runs on the wire.
 

@@ -2,14 +2,17 @@
 //!
 //! [`PeerNode`] is the TCP transport for one [`LeaseNode`], the sans-io
 //! ring member that `amf-sim`'s topology scenario drives under virtual
-//! time. Its threads ship the node's frames to the successor over the
-//! length-prefixed codec ([`crate::codec::encode_peer`]), feed the node
-//! what arrives, and drive its timers off the wall clock. The wire
-//! drops, delays, duplicates, and dies; the node's recovery machine
-//! ([`amf_core::lease`]) covers it, and while the successor is
-//! unreachable the node keeps serving local visits in degraded mode.
-//! Each fresh inbound connection is greeted with the node's incarnation
-//! id and cursor, so a returning predecessor re-syncs.
+//! time. A node runs two threads: a worker that moderates each visit,
+//! and one readiness loop on the crate's epoll binding that owns the
+//! listener and both links and sleeps until a frame arrives, a frame is
+//! queued, or the node's next timer is due — the events the simulator's
+//! driver waits on. Frames use the length-prefixed codec
+//! ([`crate::codec::encode_peer`]). The wire drops, delays, duplicates,
+//! and dies; the node's recovery machine ([`amf_core::lease`]) covers
+//! it, and while the successor is unreachable the node keeps serving
+//! local visits in degraded mode. Each fresh inbound connection is
+//! greeted with the node's incarnation id and cursor, so a returning
+//! predecessor re-syncs, and supersedes the link it replaces.
 //!
 //! [`FaultProxy`] is the test/bench harness companion: a frame-aware
 //! TCP forwarder that drops, duplicates, and delays *grant-plane*
@@ -19,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -31,10 +34,7 @@ use parking_lot::Mutex;
 use crate::codec::{decode_peer, decode_peer_wire, read_frame, write_frame, PeerWire};
 use crate::frame::FrameDecoder;
 use crate::node::LeaseNode;
-
-/// Granularity of the outbound pump (socket read timeout): bounds both
-/// forwarding latency and how late a timer can fire.
-const IO_TICK: Duration = Duration::from_millis(1);
+use crate::poll::{Event, Poller, Waker, EPOLLIN};
 
 /// Tuning knobs for one ring node.
 #[derive(Debug, Clone)]
@@ -108,18 +108,14 @@ pub struct PeerStats {
 struct PeerShared {
     cfg: PeerConfig,
     node: LeaseNode,
-    listener: TcpListener,
     /// Epoch of the `now` fed to the node.
     start: Instant,
     /// The successor's address; empty means "not wired yet" (the ring
     /// builder binds every listener before wiring the links).
     next: Mutex<String>,
-    /// Shutdown handles for the live inbound connections, keyed by a
-    /// per-accept id so each session removes its own entry on exit — a
-    /// predecessor that reconnects repeatedly must not accumulate dead
-    /// sockets here.
-    inbound_conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn_id: AtomicU64,
+    /// Interrupts the I/O loop's wait: a grant was queued, the
+    /// successor moved, or the node stopped.
+    waker: Waker,
 }
 
 /// Handle on a running ring node. Dropping it shuts the node down.
@@ -139,7 +135,7 @@ impl std::fmt::Debug for PeerNode {
 
 impl PeerNode {
     /// Binds the listener, composes the node, seeds its inbox, and
-    /// starts the session threads.
+    /// starts its I/O loop and visit worker.
     ///
     /// # Errors
     ///
@@ -162,6 +158,11 @@ impl PeerNode {
         }
         let listener = TcpListener::bind(&cfg.listen)?;
         let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        let waker = Waker::new()?;
+        poller.add(&listener, EPOLLIN, TOK_LISTENER)?;
+        poller.add(&waker, EPOLLIN, TOK_WAKER)?;
 
         // Fresh per process start (and unique across `kill -9` restarts
         // on one host): wall-clock nanos folded with the pid. Senders
@@ -181,37 +182,25 @@ impl PeerNode {
         node.seed(cfg.seed_leases, cfg.visits);
         let shared = Arc::new(PeerShared {
             node,
-            listener,
             start: Instant::now(),
             next: Mutex::new(cfg.next.clone()),
-            inbound_conns: Mutex::new(HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
+            waker,
             cfg,
         });
 
-        // Inbound: accept the predecessor, greet, feed the node its
-        // frames, write back the acks. Outbound: own the successor
-        // connection, ship the node's queue, feed it replies, drive its
-        // timers. Worker: moderate every lease visit at this node.
-        let loops = [
-            ("accept", accept_loop as fn(&_)),
-            ("out", outbound_loop),
-            ("worker", worker_loop),
-        ];
-        let threads = loops
-            .into_iter()
-            .map(|(role, body)| {
-                let s = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("peer{}-{role}", s.cfg.node))
-                    .spawn(move || body(&s))
-            })
-            .collect::<io::Result<Vec<_>>>()?;
+        // I/O: one readiness loop owns the listener and both links.
+        // Worker: moderate every lease visit at this node.
+        let thread =
+            |role| std::thread::Builder::new().name(format!("peer{}-{role}", shared.cfg.node));
+        let s = Arc::clone(&shared);
+        let io = thread("io").spawn(move || io_loop(&s, &listener, &poller))?;
+        let s = Arc::clone(&shared);
+        let worker = thread("worker").spawn(move || worker_loop(&s))?;
 
         Ok(PeerNode {
             addr,
             shared,
-            threads,
+            threads: vec![io, worker],
         })
     }
 
@@ -225,6 +214,7 @@ impl PeerNode {
     /// before wiring any link.
     pub fn set_next(&self, addr: &str) {
         *self.shared.next.lock() = addr.to_string();
+        self.shared.waker.wake();
     }
 
     /// Snapshot of the node's counters.
@@ -245,14 +235,11 @@ impl PeerNode {
         self.shared.node.ack_latencies()
     }
 
-    /// Stops every session thread and joins them. Idempotent.
+    /// Stops both threads and joins them; the I/O loop closes the
+    /// listener and every link on its way out. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.node.stop();
-        for (_, conn) in self.shared.inbound_conns.lock().drain() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        // Wake the accept loop.
-        let _ = TcpStream::connect(self.addr);
+        self.shared.waker.wake();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -265,148 +252,170 @@ impl Drop for PeerNode {
     }
 }
 
-fn accept_loop(s: &Arc<PeerShared>) {
-    for stream in s.listener.incoming() {
-        if s.node.stopped() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let conn_id = s.next_conn_id.fetch_add(1, Ordering::SeqCst);
-        if let Ok(clone) = stream.try_clone() {
-            s.inbound_conns.lock().insert(conn_id, clone);
-        }
-        let s = Arc::clone(s);
-        // One predecessor at a time in a ring; a thread per connection
-        // still keeps a half-dead old socket from blocking a reconnect.
-        let _ = std::thread::Builder::new()
-            .name(format!("peer{}-in", s.cfg.node))
-            .spawn(move || {
-                inbound_conn(stream, &s.node);
-                s.inbound_conns.lock().remove(&conn_id);
-            });
-    }
+const TOK_LISTENER: u64 = 0;
+const TOK_WAKER: u64 = 1;
+const TOK_PRED: u64 = 2;
+const TOK_SUCC: u64 = 3;
+
+/// One nonblocking `TCP_NODELAY` peer connection, registered with the
+/// loop's poller, and its sans-io [`FrameDecoder`] — the state machine
+/// every transport in this crate parses with.
+struct Link {
+    stream: TcpStream,
+    frames: FrameDecoder,
 }
 
-fn inbound_conn(mut stream: TcpStream, node: &LeaseNode) {
-    // Greet the (possibly returning) predecessor with this node's
-    // incarnation id and cursor, so it re-syncs — and can detect a
-    // restart by the id alone — before sending anything.
-    if write_frame(&mut stream, &node.greeting()).is_err() {
-        return;
+impl Link {
+    fn open(stream: TcpStream, poller: &Poller, token: u64) -> io::Result<Link> {
+        stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
+        poller.add(&stream, EPOLLIN, token)?;
+        Ok(Link {
+            stream,
+            frames: FrameDecoder::new(),
+        })
     }
-    while !node.stopped() {
-        let Ok(Some(body)) = read_frame(&mut stream) else {
-            return;
-        };
-        let Ok(frame) = decode_peer(&body) else {
-            return;
-        };
-        // The ack plane is outbound-only; an ack here is a protocol
-        // error from a confused peer. Drop it.
-        let Some((_, ack)) = node.receive(frame.msg) else {
-            continue;
-        };
-        if write_frame(&mut stream, &node.encode(ack)).is_err() {
-            return;
-        }
-    }
-}
 
-/// Reads whatever is available before the socket deadline and returns
-/// the complete frames: `Ok` on timeout (possibly empty), `Err` on EOF
-/// or transport failure. A timeout mid-frame must not desync framing,
-/// so partial reads stay buffered in the connection's sans-io
-/// [`FrameDecoder`] — the same state machine every other transport in
-/// this crate parses with.
-fn pump(dec: &mut FrameDecoder, r: &mut impl Read) -> io::Result<Vec<Vec<u8>>> {
-    let mut scratch = [0u8; 4096];
-    let mut frames = Vec::new();
-    loop {
-        match r.read(&mut scratch) {
-            Ok(0) if frames.is_empty() => {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed"));
+    /// Reads until the socket would block, handing each frame body to
+    /// `each` with the stream to answer on. Returns `false` once EOF, a
+    /// transport or framing error, or `each` ends the link.
+    fn drain(&mut self, mut each: impl FnMut(&mut TcpStream, &[u8]) -> bool) -> bool {
+        let mut scratch = [0u8; 4096];
+        loop {
+            let fed = match self.stream.read(&mut scratch) {
+                Ok(0) => return false,
+                Ok(n) => self.frames.feed(&scratch[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            };
+            while let Some(body) = self.frames.next_frame() {
+                if !each(&mut self.stream, &body) {
+                    return false;
+                }
             }
-            Ok(0) => return Ok(frames),
-            Ok(n) => {
-                dec.feed(&scratch[..n]).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "oversized peer frame")
-                })?;
-                frames.extend(std::iter::from_fn(|| dec.next_frame()));
+            if fed.is_err() {
+                return false;
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Ok(frames);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
         }
     }
 }
 
-fn outbound_loop(s: &Arc<PeerShared>) {
-    let mut conn: Option<TcpStream> = None;
-    let mut frames = FrameDecoder::new();
-    // Set once this connection's greeting has been fed to the node.
+/// The node's transport. Each wakeup drains the successor's replies,
+/// (re)connects it, polls the timers and ships the queue, then waits
+/// for a ready socket, the waker, or the next deadline. A frame a
+/// socket will not take whole drops that link; the grant stays pending
+/// in [`amf_core::LeaseOut`] and the next greeting re-syncs.
+fn io_loop(s: &PeerShared, listener: &TcpListener, poller: &Poller) {
+    let mut events = [Event::default(); 4];
+    let mut pred: Option<Link> = None;
+    let mut succ: Option<Link> = None;
+    // Set once the successor link's greeting has been fed to the node.
     // Frames written earlier could carry numbering from the peer's
     // previous incarnation.
     let mut greeted = false;
     while !s.node.stopped() {
-        // (Re)connect if needed.
-        let target = s.next.lock().clone();
-        if target.is_empty() {
-            std::thread::sleep(IO_TICK);
-            continue;
-        }
-        if conn.is_none() {
-            // On failure the timers below still run (that is where
-            // expiry-based reclaim and degradation come from); the
-            // connect is retried next tick.
-            if let Ok(c) = TcpStream::connect(&target) {
-                let _ = c.set_nodelay(true);
-                let _ = c.set_read_timeout(Some(IO_TICK));
-                frames = FrameDecoder::new();
-                greeted = false;
-                conn = Some(c);
-            }
-        }
-        // Ship the node's queue — once the greeting has re-synced the
-        // link (a rebase would invalidate anything written before). A
-        // frame that fails to write stays pending in the node's
-        // `LeaseOut`; retransmission covers it once the connection is
-        // back.
-        if let Some(c) = conn.as_mut().filter(|_| greeted) {
-            let queued = s.node.take_outbound();
-            if queued
-                .into_iter()
-                .any(|msg| write_frame(c, &s.node.encode(msg)).is_err())
-            {
-                conn = None;
-            }
-        }
-        // Drain replies until the tick elapses. This doubles as the
-        // "drain every readable ack before reclaiming" guard the
-        // recovery machine's soundness depends on.
-        match conn.as_mut().map(|c| pump(&mut frames, c)) {
-            Some(Ok(bodies)) => {
-                for wire in bodies.iter().filter_map(|b| decode_peer_wire(b).ok()) {
+        // Drain every readable reply before `poll` may reclaim — the
+        // guard the recovery machine's soundness rests on.
+        if let Some(link) = &mut succ {
+            let open = link.drain(|_, body| {
+                if let Ok(wire) = decode_peer_wire(body) {
                     greeted |= matches!(wire, PeerWire::Hello { .. });
                     s.node.on_reply(wire, s.start.elapsed());
                 }
+                true
+            });
+            if !open {
+                succ = None;
             }
-            Some(Err(_)) => conn = None,
-            None => std::thread::sleep(IO_TICK),
+        }
+        if succ.is_none() {
+            succ = connect(s, poller);
+            greeted = false;
         }
         s.node.poll(s.start.elapsed());
+        if let Some(link) = succ.as_mut().filter(|_| greeted) {
+            let queued = s.node.take_outbound();
+            if queued
+                .into_iter()
+                .any(|msg| write_frame(&mut link.stream, &s.node.encode(msg)).is_err())
+            {
+                succ = None;
+            }
+        }
+        let due = s.node.next_deadline();
+        let timeout = due.map(|d| d.saturating_sub(s.start.elapsed()));
+        let n = poller.wait(&mut events, timeout).unwrap_or(0);
+        for ev in &events[..n] {
+            match ev.data {
+                // A ring node has one predecessor: a reconnect or a
+                // replacement process supersedes (and closes) the
+                // previous link.
+                TOK_LISTENER => {
+                    while let Ok((stream, _)) = listener.accept() {
+                        pred = greet(s, poller, stream);
+                    }
+                }
+                TOK_PRED => {
+                    if let Some(link) = &mut pred {
+                        if !link.drain(|stream, body| answer(s, stream, body)) {
+                            pred = None;
+                        }
+                    }
+                }
+                TOK_WAKER => s.waker.clear(),
+                _ => {} // The successor is drained at the top of the loop.
+            }
+        }
     }
 }
 
-fn worker_loop(s: &Arc<PeerShared>) {
+/// Connects to the successor; `None` while it is unwired or unreachable
+/// (retried at the next wakeup). The backoff base (never zero, which
+/// `connect_timeout` refuses) bounds the connect: it already exceeds
+/// the one round trip a connect takes, and a dead successor must not
+/// hold up the predecessor's acks.
+fn connect(s: &PeerShared, poller: &Poller) -> Option<Link> {
+    let bound = s.cfg.lease.backoff_base.max(Duration::from_nanos(1));
+    let target = s.next.lock().clone();
+    let stream = target
+        .to_socket_addrs()
+        .ok()?
+        .find_map(|addr| TcpStream::connect_timeout(&addr, bound).ok())?;
+    Link::open(stream, poller, TOK_SUCC).ok()
+}
+
+/// Opens a fresh predecessor link and greets it with this node's
+/// incarnation id and cursor, so a returning predecessor re-syncs — and
+/// can detect a restart by the id alone — before sending anything.
+fn greet(s: &PeerShared, poller: &Poller, stream: TcpStream) -> Option<Link> {
+    let mut link = Link::open(stream, poller, TOK_PRED).ok()?;
+    write_frame(&mut link.stream, &s.node.greeting()).ok()?;
+    Some(link)
+}
+
+/// Feeds one predecessor frame to the node and writes back its ack;
+/// `false` closes the link.
+fn answer(s: &PeerShared, stream: &mut TcpStream, body: &[u8]) -> bool {
+    let Ok(frame) = decode_peer(body) else {
+        return false;
+    };
+    // The ack plane is outbound-only; an ack here is a protocol error
+    // from a confused peer. Drop it.
+    s.node
+        .receive(frame.msg)
+        .is_none_or(|(_, ack)| write_frame(stream, &s.node.encode(ack)).is_ok())
+}
+
+fn worker_loop(s: &PeerShared) {
     while let Some(lease) = s.node.acquire() {
         if !s.cfg.visit_delay.is_zero() {
             std::thread::sleep(s.cfg.visit_delay);
         }
-        s.node.forward(lease, s.start.elapsed());
+        // Only a queued grant needs the I/O loop.
+        if !s.node.forward(lease, s.start.elapsed()) {
+            s.waker.wake();
+        }
     }
 }
 

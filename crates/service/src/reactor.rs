@@ -9,9 +9,8 @@
 //!
 //! Structure:
 //!
-//! * **epoll binding** — minimal raw `extern "C"` declarations against
-//!   the libc the binary already links (consistent with the
-//!   no-registry shims policy; no crate dependency). Level-triggered.
+//! * **readiness** — the crate's level-triggered epoll/eventfd binding
+//!   in `poll.rs`, which each ring node's I/O loop shares.
 //! * **per-connection state machine** — a nonblocking socket, the
 //!   sans-io [`FrameDecoder`], an outbound byte buffer, and a
 //!   one-request-in-flight discipline (`busy` + a `pending` queue)
@@ -32,13 +31,12 @@
 //! the aspect chain are untouched, they just run on engine workers.
 
 use std::collections::{HashMap, VecDeque};
-use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use amf_concurrency::TaskEngine;
 use bytes::Bytes;
@@ -46,47 +44,8 @@ use parking_lot::Mutex;
 
 use crate::codec::{decode_request, encode_response, Request, Response};
 use crate::frame::FrameDecoder;
+use crate::poll::{Event, Poller, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::server::ServiceShared;
-
-// --- epoll / eventfd binding (x86_64 linux) --------------------------
-
-const EPOLLIN: u32 = 0x001;
-const EPOLLOUT: u32 = 0x004;
-const EPOLLERR: u32 = 0x008;
-const EPOLLHUP: u32 = 0x010;
-
-const EPOLL_CTL_ADD: i32 = 1;
-const EPOLL_CTL_DEL: i32 = 2;
-const EPOLL_CTL_MOD: i32 = 3;
-
-const EPOLL_CLOEXEC: i32 = 0x80000;
-const EFD_CLOEXEC: i32 = 0x80000;
-const EFD_NONBLOCK: i32 = 0x800;
-
-/// `struct epoll_event`; packed on x86_64, where the kernel ABI elides
-/// the padding other architectures keep.
-#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-#[derive(Clone, Copy)]
-struct EpollEvent {
-    events: u32,
-    data: u64,
-}
-
-extern "C" {
-    fn epoll_create1(flags: i32) -> i32;
-    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
-    fn eventfd(initval: u32, flags: i32) -> i32;
-}
-
-fn epoll_add(ep: i32, fd: i32, events: u32, data: u64) -> io::Result<()> {
-    let mut ev = EpollEvent { events, data };
-    if unsafe { epoll_ctl(ep, EPOLL_CTL_ADD, fd, &mut ev) } != 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
-}
 
 // --- completions and the waker ---------------------------------------
 
@@ -103,7 +62,7 @@ pub(crate) struct Completion {
 /// reactor: a completion queue plus the eventfd that interrupts
 /// `epoll_wait`.
 pub(crate) struct ReactorWaker {
-    efd: File,
+    efd: Waker,
     completions: Mutex<Vec<Completion>>,
 }
 
@@ -116,7 +75,7 @@ impl std::fmt::Debug for ReactorWaker {
 impl ReactorWaker {
     /// Interrupts the reactor's `epoll_wait`.
     pub(crate) fn wake(&self) {
-        let _ = (&self.efd).write(&1u64.to_ne_bytes());
+        self.efd.wake();
     }
 
     fn complete(&self, c: Completion) {
@@ -126,11 +85,6 @@ impl ReactorWaker {
 
     fn drain(&self) -> Vec<Completion> {
         std::mem::take(&mut *self.completions.lock())
-    }
-
-    fn clear_signal(&self) {
-        let mut buf = [0u8; 8];
-        let _ = (&self.efd).read(&mut buf);
     }
 }
 
@@ -180,13 +134,13 @@ const TOK_WAKER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 const MAX_EVENTS: usize = 128;
 
-/// Milliseconds the reactor sleeps in `epoll_wait` when nothing is
-/// ready; a defensive heartbeat so a lost wakeup degrades to latency,
-/// never to a hang.
-const WAIT_TICK_MS: i32 = 250;
+/// How long the reactor sleeps in `epoll_wait` when nothing is ready;
+/// a defensive heartbeat so a lost wakeup degrades to latency, never to
+/// a hang.
+const WAIT_TICK: Duration = Duration::from_millis(250);
 
 struct Reactor {
-    ep: OwnedFd,
+    ep: Poller,
     listener: TcpListener,
     shared: Arc<ServiceShared>,
     engine: Arc<TaskEngine>,
@@ -204,22 +158,10 @@ pub(crate) fn spawn(
     engine: Arc<TaskEngine>,
 ) -> io::Result<(JoinHandle<()>, Arc<ReactorWaker>)> {
     listener.set_nonblocking(true)?;
-    let ep = unsafe {
-        let fd = epoll_create1(EPOLL_CLOEXEC);
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        OwnedFd::from_raw_fd(fd)
-    };
-    let efd = unsafe {
-        let fd = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        File::from_raw_fd(fd)
-    };
-    epoll_add(ep.as_raw_fd(), listener.as_raw_fd(), EPOLLIN, TOK_LISTENER)?;
-    epoll_add(ep.as_raw_fd(), efd.as_raw_fd(), EPOLLIN, TOK_WAKER)?;
+    let ep = Poller::new()?;
+    let efd = Waker::new()?;
+    ep.add(&listener, EPOLLIN, TOK_LISTENER)?;
+    ep.add(&efd, EPOLLIN, TOK_WAKER)?;
     let waker = Arc::new(ReactorWaker {
         efd,
         completions: Mutex::new(Vec::new()),
@@ -241,7 +183,7 @@ pub(crate) fn spawn(
 
 impl Reactor {
     fn run(mut self) {
-        let mut events = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+        let mut events = [Event::default(); MAX_EVENTS];
         loop {
             for c in self.waker.drain() {
                 self.handle_completion(c);
@@ -249,25 +191,16 @@ impl Reactor {
             if self.shared.shutting_down.load(Ordering::SeqCst) {
                 break;
             }
-            let n = unsafe {
-                epoll_wait(
-                    self.ep.as_raw_fd(),
-                    events.as_mut_ptr(),
-                    MAX_EVENTS as i32,
-                    WAIT_TICK_MS,
-                )
+            let n = match self.ep.wait(&mut events, Some(WAIT_TICK)) {
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
             };
-            if n < 0 {
-                if io::Error::last_os_error().kind() == io::ErrorKind::Interrupted {
-                    continue;
-                }
-                break;
-            }
-            for ev in &events[..n as usize] {
+            for ev in &events[..n] {
                 let (bits, data) = (ev.events, ev.data);
                 match data {
                     TOK_LISTENER => self.accept_ready(),
-                    TOK_WAKER => self.waker.clear_signal(),
+                    TOK_WAKER => self.waker.efd.clear(),
                     token => {
                         if bits & EPOLLOUT != 0 {
                             self.flush_conn(token);
@@ -300,7 +233,7 @@ impl Reactor {
                     let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
-                    if epoll_add(self.ep.as_raw_fd(), stream.as_raw_fd(), EPOLLIN, token).is_err() {
+                    if self.ep.add(&stream, EPOLLIN, token).is_err() {
                         continue;
                     }
                     self.shared.open_connections.fetch_add(1, Ordering::SeqCst);
@@ -489,31 +422,15 @@ impl Reactor {
         let want = conn.out_pos < conn.out.len();
         if want != conn.want_write {
             conn.want_write = want;
-            let mut ev = EpollEvent {
-                events: EPOLLIN | if want { EPOLLOUT } else { 0 },
-                data: token,
-            };
-            unsafe {
-                epoll_ctl(
-                    self.ep.as_raw_fd(),
-                    EPOLL_CTL_MOD,
-                    conn.stream.as_raw_fd(),
-                    &mut ev,
-                );
-            }
+            let events = EPOLLIN | if want { EPOLLOUT } else { 0 };
+            let _ = self.ep.modify(&conn.stream, events, token);
         }
     }
 
     fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            unsafe {
-                epoll_ctl(
-                    self.ep.as_raw_fd(),
-                    EPOLL_CTL_DEL,
-                    conn.stream.as_raw_fd(),
-                    std::ptr::null_mut(),
-                );
-            }
+        // Dropping the stream closes its only fd, which also takes it
+        // out of the epoll set.
+        if self.conns.remove(&token).is_some() {
             self.shared.open_connections.fetch_sub(1, Ordering::SeqCst);
         }
     }

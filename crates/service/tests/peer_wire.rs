@@ -7,7 +7,10 @@ use std::time::{Duration, Instant};
 
 use amf_core::lease::LeaseMsg;
 use amf_core::LeaseConfig;
-use amf_service::codec::{decode_peer, encode_hello, read_frame, write_frame, PeerFrame};
+use amf_service::codec::{
+    decode_peer, decode_peer_wire, encode_hello, encode_peer, read_frame, write_frame, PeerFrame,
+};
+use amf_service::PeerWire;
 use amf_service::{FaultProxy, FaultProxyConfig, PeerConfig, PeerNode};
 
 fn lease_cfg(expiry_ms: u64) -> LeaseConfig {
@@ -26,7 +29,7 @@ fn spawn_ring(
     n: usize,
     leases: u64,
     visits: u64,
-    expiry_ms: u64,
+    lease: LeaseConfig,
     mut wrap: impl FnMut(usize, String) -> String,
 ) -> Vec<PeerNode> {
     // Bind every listener first so successor addresses exist, then wire
@@ -37,7 +40,7 @@ fn spawn_ring(
                 node: i as u64,
                 seed_leases: if i == 0 { leases } else { 0 },
                 visits,
-                lease: lease_cfg(expiry_ms),
+                lease: lease.clone(),
                 ..PeerConfig::default()
             })
             .expect("spawn node")
@@ -73,7 +76,7 @@ fn assert_no_lease_lost_or_doubled(nodes: &[PeerNode], leases: u64) {
 fn clean_ring_circulates_and_retires_every_lease() {
     let leases = 4;
     let visits = 9; // 3 laps of 3 nodes
-    let nodes = spawn_ring(3, leases, visits, 200, |_, addr| addr);
+    let nodes = spawn_ring(3, leases, visits, lease_cfg(200), |_, addr| addr);
     let got = await_retired(&nodes, leases, Duration::from_secs(10));
     assert_eq!(got, leases, "all leases retire");
     assert_no_lease_lost_or_doubled(&nodes, leases);
@@ -93,7 +96,7 @@ fn lossy_ring_retransmits_dedups_and_still_loses_nothing() {
     let leases = 3;
     let visits = 9;
     let mut proxies: Vec<FaultProxy> = Vec::new();
-    let nodes = spawn_ring(3, leases, visits, 150, |i, addr| {
+    let nodes = spawn_ring(3, leases, visits, lease_cfg(150), |i, addr| {
         let proxy = FaultProxy::spawn(FaultProxyConfig {
             target: addr,
             drop_permille: 100,
@@ -224,7 +227,9 @@ fn severed_link_degrades_locally_and_loses_nothing() {
     let visits = 6;
     // Node 0's successor is a dead address: every handoff expires and
     // is reclaimed, so all visits happen locally in degraded mode.
-    let nodes = spawn_ring(1, leases, visits, 60, |_, _| "127.0.0.1:9".into());
+    let nodes = spawn_ring(1, leases, visits, lease_cfg(60), |_, _| {
+        "127.0.0.1:9".into()
+    });
     let got = await_retired(&nodes, leases, Duration::from_secs(20));
     assert_eq!(got, leases, "a partitioned node still finishes its work");
     assert_no_lease_lost_or_doubled(&nodes, leases);
@@ -235,4 +240,116 @@ fn severed_link_degrades_locally_and_loses_nothing() {
         "degraded admissions are counted: {s:?}"
     );
     assert!(s.degraded_now, "peer never returned, node stays degraded");
+}
+
+/// With nothing lost on the link and a backoff base far above loopback
+/// round trips, every grant is acked before its first retry is due: a
+/// transport that answers promptly never retransmits.
+#[test]
+fn clean_ring_never_retransmits() {
+    let leases = 4;
+    let lease = LeaseConfig {
+        backoff_base: Duration::from_millis(20),
+        ..lease_cfg(2000)
+    };
+    let nodes = spawn_ring(3, leases, 30, lease, |_, addr| addr);
+    let got = await_retired(&nodes, leases, Duration::from_secs(30));
+    assert_eq!(got, leases, "all leases retire");
+    assert_no_lease_lost_or_doubled(&nodes, leases);
+    let (retransmits, dup_dropped) = nodes.iter().map(PeerNode::stats).fold((0, 0), |acc, s| {
+        (acc.0 + s.retransmits, acc.1 + s.dup_dropped)
+    });
+    assert_eq!((retransmits, dup_dropped), (0, 0));
+}
+
+/// How many of this process's threads belong to ring node `node`.
+fn node_threads(node: u64) -> usize {
+    let prefix = format!("peer{node}-");
+    std::fs::read_dir("/proc/self/task")
+        .expect("list threads")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with(&prefix))
+        .count()
+}
+
+/// A node's I/O is one readiness loop: the thread count does not grow
+/// with its inbound connections.
+#[test]
+fn a_node_runs_two_threads_whatever_its_connections() {
+    let node = PeerNode::spawn(PeerConfig {
+        node: 77,
+        lease: lease_cfg(200),
+        ..PeerConfig::default()
+    })
+    .expect("spawn node");
+    let conns: Vec<TcpStream> = (0..10)
+        .map(|_| {
+            let mut conn = TcpStream::connect(node.addr()).expect("connect");
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            let hello = read_frame(&mut conn).expect("read").expect("greeting");
+            assert!(matches!(
+                decode_peer_wire(&hello),
+                Ok(PeerWire::Hello { .. })
+            ));
+            conn
+        })
+        .collect();
+    // The worker names itself once it runs; wait for that, not longer.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while node_threads(77) < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(node_threads(77), 2, "one I/O loop and one worker");
+    drop(conns);
+}
+
+/// A predecessor that reconnects (or is replaced) is greeted with the
+/// node's cursor, and its new link supersedes the old one, which the
+/// node closes.
+#[test]
+fn a_returning_predecessor_is_greeted_and_supersedes_the_old_link() {
+    let node = PeerNode::spawn(PeerConfig {
+        node: 5,
+        lease: lease_cfg(200),
+        ..PeerConfig::default()
+    })
+    .expect("spawn node");
+    let mut old: Option<TcpStream> = None;
+    for k in 0..5 {
+        let mut conn = TcpStream::connect(node.addr()).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let hello = read_frame(&mut conn).expect("read").expect("greeting");
+        assert!(
+            matches!(decode_peer_wire(&hello), Ok(PeerWire::Hello { cursor, .. }) if cursor == k),
+            "greeting {k} carries the cursor"
+        );
+        if let Some(mut prev) = old.take() {
+            match read_frame(&mut prev) {
+                Ok(None) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+                other => panic!("superseded link must be closed, got {other:?}"),
+            }
+        }
+        let msg = LeaseMsg::Grant {
+            seq: k,
+            lease: k,
+            hop: 1,
+            visits: 1,
+        };
+        write_frame(&mut conn, &encode_peer(&PeerFrame { node: 4, msg })).expect("grant");
+        let ack = read_frame(&mut conn).expect("read").expect("ack");
+        assert_eq!(
+            decode_peer(&ack).expect("ack frame").msg,
+            LeaseMsg::Ack {
+                seq: k,
+                cursor: k + 1
+            }
+        );
+        old = Some(conn);
+    }
+    let got = await_retired(std::slice::from_ref(&node), 5, Duration::from_secs(10));
+    assert_eq!(got, 5, "every granted lease retires");
+    assert_eq!(node.retired(), [0, 1, 2, 3, 4]);
 }
