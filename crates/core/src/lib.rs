@@ -80,10 +80,10 @@ pub use error::{AbortError, RegistrationError};
 pub use factory::{AspectFactory, ChainedFactory, RegistryFactory};
 pub use lease::{Delivery, LeaseAction, LeaseConfig, LeaseIn, LeaseLinkStats, LeaseMsg, LeaseOut};
 pub use moderator::{
-    AspectModerator, CellState, Coordination, FairnessPolicy, MethodHandle, ModeratorBuilder,
-    ModeratorStats, OrderingPolicy, PanicPolicy, RollbackPolicy, WaitHistogram, WakeMode,
-    WAIT_BUCKETS,
+    AspectModerator, CellState, Coordination, FairnessPolicy, FirstPass, MethodHandle,
+    ModeratorBuilder, ModeratorStats, OrderingPolicy, PanicPolicy, PendingActivation,
+    RollbackPolicy, WaitHistogram, WakeMode, WAIT_BUCKETS,
 };
-pub use proxy::{ActivationGuard, Moderated};
+pub use proxy::{ActivationGuard, Entry, Moderated, PendingEntry};
 pub use trace::{FilterSink, MemoryTrace, TeeSink, TraceSink};
 pub use verdict::{AbortReason, Verdict};

@@ -214,6 +214,29 @@ pub struct CellState {
     /// to the bank's rows. Together with `queues[slot].has_pending()`
     /// this is the "no waiters" half of the fast-lane predicate.
     pub(super) parked: Vec<u32>,
+    /// Wake generation per local bank row, parallel to the bank's
+    /// rows: bumped by a pulse of the row's waitpoint while a barging
+    /// caller of the row is blocked (see [`CellState::note_wake`]).
+    pub(super) wake_gens: Vec<u64>,
+}
+
+impl CellState {
+    /// Records a pulse of `slot`'s waitpoint under
+    /// [`FairnessPolicy::Barging`], where a wake is spent on whoever is
+    /// parked at that instant. A split pre-activation releases the cell
+    /// lock between its first pass and its continuation; it compares
+    /// the generation it saw with the current one when it re-takes the
+    /// lock, and a difference means a wake landed in that gap, so it
+    /// re-evaluates instead of parking. Such a caller is counted in
+    /// `parked` from its first blocked pass, so a pulse with nobody
+    /// blocked leaves the generation — and its cache line — alone.
+    /// Under Fifo a wake persists as a queue permit instead.
+    pub(super) fn note_wake(&mut self, slot: MethodIndex) {
+        let ix = slot.as_usize();
+        if self.parked[ix] > 0 {
+            self.wake_gens[ix] += 1;
+        }
+    }
 }
 
 /// One coordination cell: the lock guarding a method's chain, wake
@@ -232,6 +255,7 @@ impl Cell {
                 queues: Vec::new(),
                 faults: Vec::new(),
                 parked: Vec::new(),
+                wake_gens: Vec::new(),
             }),
         })
     }
@@ -337,6 +361,7 @@ impl AspectModerator {
                 state.queues.push(TicketQueue::new(self.grant_batching));
                 state.faults.push(HashMap::new());
                 state.parked.push(0);
+                state.wake_gens.push(0);
             }
             slot
         };
@@ -451,6 +476,7 @@ impl AspectModerator {
             if self.fairness == FairnessPolicy::Fifo {
                 wake_queue(&mut state.queues[r.slot.as_usize()], WakeMode::NotifyAll);
             }
+            state.note_wake(r.slot);
             r.point.wake_all();
             refresh_lane(&state, &r.lane, r.slot);
             aspect

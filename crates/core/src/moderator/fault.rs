@@ -94,6 +94,7 @@ impl AspectModerator {
         &self,
         fault_map: &mut HashMap<Concern, SlotFault>,
         queue: &mut TicketQueue,
+        wake_gen: &mut u64,
         point: &Arc<dyn Waiter<CellState>>,
         lane: &FastLane,
         fast_eligible: &mut bool,
@@ -126,6 +127,9 @@ impl AspectModerator {
                 if self.fairness == FairnessPolicy::Fifo {
                     wake_queue(queue, WakeMode::NotifyAll);
                 }
+                // A rare pulse: counted whoever is blocked
+                // (`CellState::note_wake`).
+                *wake_gen += 1;
                 point.wake_all();
             }
         }
@@ -186,10 +190,12 @@ impl AspectModerator {
             bank,
             queues,
             faults,
+            wake_gens,
             ..
         } = state;
         let row = bank.row_mut(slot);
         let queue = &mut queues[slot.as_usize()];
+        let wake_gen = &mut wake_gens[slot.as_usize()];
         let fault_map = &mut faults[slot.as_usize()];
         let MethodRow {
             aspects,
@@ -211,6 +217,7 @@ impl AspectModerator {
                 self.note_panic(
                     fault_map,
                     queue,
+                    wake_gen,
                     point,
                     lane,
                     fast_eligible,

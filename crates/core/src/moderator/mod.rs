@@ -44,11 +44,17 @@
 //!   hot path only ever read-locks (writes happen in `declare_method`).
 //! * **Notify discipline**: post-activation runs postactions under its
 //!   own cell, releases it, then signals each target method's waitpoint
-//!   *while holding that target's cell lock*. A waiter holds its cell
-//!   lock continuously from chain evaluation to parking, so a
-//!   cross-method wakeup (open→assign) can never land in the window
-//!   between "evaluated: blocked" and "parked" — it would have to wait
-//!   for the cell lock first.
+//!   *while holding that target's cell lock*. A blocking
+//!   pre-activation holds its cell lock continuously from chain
+//!   evaluation to parking, so a cross-method wakeup (open→assign) can
+//!   never land in the window between "evaluated: blocked" and
+//!   "parked" — it would have to wait for the cell lock first. The
+//!   split form ([`AspectModerator::begin_preactivation`], then
+//!   [`AspectModerator::finish_preactivation`]) does release the lock
+//!   in that window; a wake landing there persists as a queue permit
+//!   under Fifo, and under Barging as a bumped wake generation of the
+//!   method's row (`CellState::note_wake`), which sends the
+//!   continuation back to its chain instead of to sleep.
 //! * **Rollback notification**: with sharding, another method's chain
 //!   may observe a reservation that a blocked or aborted chain later
 //!   rolls back (impossible under the single lock, where whole-chain
@@ -146,8 +152,11 @@ mod stats;
 mod tests;
 #[cfg(test)]
 mod tests_fifo;
+#[cfg(test)]
+mod tests_split;
 
 pub use cell::{CellState, MethodHandle};
+pub use protocol::{FirstPass, PendingActivation};
 pub use stats::{ModeratorStats, WaitHistogram};
 
 use cell::Registry;

@@ -102,10 +102,13 @@ impl AspectModerator {
         point: &Arc<dyn Waiter<CellState>>,
     ) {
         match self.fairness {
-            FairnessPolicy::Barging => match self.wake_mode {
-                WakeMode::NotifyAll => point.wake_all(),
-                WakeMode::NotifyOne => point.wake_one(),
-            },
+            FairnessPolicy::Barging => {
+                state.note_wake(slot);
+                match self.wake_mode {
+                    WakeMode::NotifyAll => point.wake_all(),
+                    WakeMode::NotifyOne => point.wake_one(),
+                }
+            }
             FairnessPolicy::Fifo => {
                 wake_queue(&mut state.queues[slot.as_usize()], self.wake_mode);
                 point.wake_all();
@@ -147,10 +150,13 @@ impl AspectModerator {
             {
                 let mut state = cell.state.lock();
                 match self.fairness {
-                    FairnessPolicy::Barging => match self.wake_mode {
-                        WakeMode::NotifyAll => point.wake_all(),
-                        WakeMode::NotifyOne => point.wake_one(),
-                    },
+                    FairnessPolicy::Barging => {
+                        state.note_wake(slot);
+                        match self.wake_mode {
+                            WakeMode::NotifyAll => point.wake_all(),
+                            WakeMode::NotifyOne => point.wake_one(),
+                        }
+                    }
                     FairnessPolicy::Fifo => {
                         wake_queue(&mut state.queues[slot.as_usize()], self.wake_mode);
                         point.wake_all();

@@ -112,24 +112,45 @@ fn fifo_serves_waiters_in_park_order_notify_all() {
 
 #[test]
 fn fifo_newcomer_cannot_overtake_parked_waiter() {
+    let trace = crate::trace::MemoryTrace::shared();
     let m = Arc::new(
         AspectModerator::builder()
             .fairness(FairnessPolicy::Fifo)
+            .trace(trace.clone() as Arc<dyn crate::trace::TraceSink>)
             .build(),
     );
     let tokens = Arc::new(AtomicU64::new(0));
     let (open, tick) = gated(&m, &tokens);
-    let order = Arc::new(Mutex::new(Vec::new()));
+    // Invocation number → caller. Admission order is read from the
+    // trace's `ActivationResumed` events, which are emitted under the
+    // cell lock: a caller descheduled between its admission and any
+    // bookkeeping of its own cannot reorder them.
+    let callers = Arc::new(Mutex::new(Vec::new()));
     let spawn_caller = |tag: &'static str| {
         let m = Arc::clone(&m);
         let open = open.clone();
-        let order = Arc::clone(&order);
+        let callers = Arc::clone(&callers);
         thread::spawn(move || {
             let mut ctx = ctx_for(&m, &open);
+            callers.lock().push((ctx.invocation(), tag));
             m.preactivation(&open, &mut ctx).unwrap();
-            order.lock().push(tag);
             m.postactivation(&open, &mut ctx);
         })
+    };
+    let admitted = || -> Vec<&'static str> {
+        let callers = callers.lock();
+        trace
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::ActivationResumed && e.method == *open.id())
+            .map(|e| {
+                callers
+                    .iter()
+                    .find(|(inv, _)| *inv == e.invocation)
+                    .expect("a caller's invocation")
+                    .1
+            })
+            .collect()
     };
     let early = spawn_caller("early");
     while m.stats().blocks == 0 {
@@ -143,7 +164,7 @@ fn fifo_newcomer_cannot_overtake_parked_waiter() {
     while m.stats().blocks < 2 {
         thread::yield_now();
     }
-    assert!(order.lock().is_empty(), "a caller ran before any grant");
+    assert!(admitted().is_empty(), "a caller ran before any grant");
     // Two ticks: each wakes the head and mints one more token.
     for _ in 0..2 {
         let mut ctx = ctx_for(&m, &tick);
@@ -152,7 +173,7 @@ fn fifo_newcomer_cannot_overtake_parked_waiter() {
     }
     early.join().unwrap();
     late.join().unwrap();
-    assert_eq!(*order.lock(), vec!["early", "late"]);
+    assert_eq!(admitted(), vec!["early", "late"]);
 }
 
 #[test]

@@ -14,7 +14,9 @@
 //! [`Moderated<C>`] is the generic Rust proxy: it wraps any sequential
 //! component `C` and exposes [`Moderated::invoke`], which runs a closure
 //! over `&mut C` between the two phases. For multi-step invocations
-//! there is the lower-level RAII [`ActivationGuard`].
+//! there is the lower-level RAII [`ActivationGuard`]. A caller that must
+//! not park (an event loop) enters with [`Moderated::begin_timeout`]
+//! and hands only a [`PendingEntry`] to a thread that may.
 
 use std::fmt;
 use std::sync::Arc;
@@ -24,7 +26,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::context::{InvocationContext, Outcome, Principal};
 use crate::error::AbortError;
-use crate::moderator::{AspectModerator, MethodHandle};
+use crate::moderator::{AspectModerator, FirstPass, MethodHandle, PendingActivation};
 
 /// A functional component wrapped by the moderation protocol.
 ///
@@ -155,6 +157,62 @@ impl<C> Moderated<C> {
         })
     }
 
+    /// The first pass of [`Moderated::enter_timeout`]: never parks. An
+    /// entry whose pre-activation blocked comes back as an owned
+    /// [`PendingEntry`] that any thread can finish with
+    /// [`Moderated::finish`]; the timeout runs from this call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AbortError`] if an aspect vetoes the activation in the
+    /// first pass.
+    pub fn begin_timeout(
+        &self,
+        method: &MethodHandle,
+        mut ctx: InvocationContext,
+        timeout: Duration,
+    ) -> Result<Entry<'_, C>, AbortError> {
+        match self
+            .moderator
+            .begin_preactivation(method, &mut ctx, Some(timeout))?
+        {
+            FirstPass::Resumed => Ok(Entry::Ready(ActivationGuard {
+                proxy: self,
+                method: method.clone(),
+                ctx: Some(ctx),
+            })),
+            FirstPass::Pending(activation) => Ok(Entry::Pending(PendingEntry {
+                moderator: Arc::clone(&self.moderator),
+                pending: Some((activation, ctx)),
+            })),
+        }
+    }
+
+    /// Waits out a [`PendingEntry`]: parks until the activation
+    /// resumes, an aspect aborts it, or its timeout elapses.
+    ///
+    /// # Errors
+    ///
+    /// As [`Moderated::enter_timeout`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry` was begun on a proxy with another moderator.
+    pub fn finish(&self, mut entry: PendingEntry) -> Result<ActivationGuard<'_, C>, AbortError> {
+        assert!(
+            Arc::ptr_eq(&entry.moderator, &self.moderator),
+            "pending entry finished on a proxy with another moderator"
+        );
+        let (activation, mut ctx) = entry.pending.take().expect("entry still pending");
+        let method = activation.method().clone();
+        self.moderator.finish_preactivation(activation, &mut ctx)?;
+        Ok(ActivationGuard {
+            proxy: self,
+            method,
+            ctx: Some(ctx),
+        })
+    }
+
     /// Guarded invocation: pre-activation, `f(&mut component)`,
     /// post-activation. The paper's Figure 10 in one call.
     ///
@@ -255,6 +313,44 @@ impl<C> Moderated<C> {
         }
         guard.complete();
         Ok(r)
+    }
+}
+
+/// What [`Moderated::begin_timeout`] reached without parking.
+#[derive(Debug)]
+pub enum Entry<'a, C> {
+    /// Pre-activation resumed: run the body, then complete the guard.
+    Ready(ActivationGuard<'a, C>),
+    /// An aspect blocked: finish with [`Moderated::finish`].
+    Pending(PendingEntry),
+}
+
+/// An entry whose pre-activation blocked: the pending activation and
+/// its context, owned and `Send + 'static`. Dropping it unfinished
+/// withdraws the waiter ([`AspectModerator::cancel_preactivation`]).
+pub struct PendingEntry {
+    moderator: Arc<AspectModerator>,
+    pending: Option<(PendingActivation, InvocationContext)>,
+}
+
+impl fmt::Debug for PendingEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PendingEntry")
+            .field("pending", &self.pending)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Drop for PendingEntry {
+    fn drop(&mut self) {
+        if let Some((activation, ctx)) = self.pending.take() {
+            // `on_cancel` runs uncontained under `PanicPolicy::Propagate`;
+            // a panic must not escape a destructor, which may itself be
+            // running during an unwind.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.moderator.cancel_preactivation(activation, &ctx);
+            }));
+        }
     }
 }
 
@@ -655,5 +751,85 @@ mod tests {
         let s = format!("{proxy:?}");
         assert!(s.contains("Moderated"));
         assert_eq!(proxy.into_inner(), vec![5]);
+    }
+
+    /// `begin_timeout` returns a ready guard when nothing blocks and
+    /// otherwise an owned entry that `finish` completes; dropping an
+    /// unfinished entry cancels its wait.
+    #[test]
+    fn begin_finish_and_drop_a_pending_entry() {
+        use crate::aspect::NoopAspect;
+        use crate::moderator::FairnessPolicy;
+        use std::sync::atomic::AtomicBool;
+        use std::time::Duration;
+        let moderator = Arc::new(
+            AspectModerator::builder()
+                .fairness(FairnessPolicy::Fifo)
+                .build(),
+        );
+        let push = moderator.declare_method(MethodId::new("push"));
+        let proxy = Moderated::new(Vec::<u32>::new(), Arc::clone(&moderator));
+        let open = Arc::new(AtomicBool::new(false));
+        let cancels = Arc::new(AtomicU32::new(0));
+        struct Gate {
+            open: Arc<AtomicBool>,
+            cancels: Arc<AtomicU32>,
+        }
+        impl crate::aspect::Aspect for Gate {
+            fn precondition(&mut self, _: &mut InvocationContext) -> Verdict {
+                if self.open.load(Ordering::SeqCst) {
+                    Verdict::Resume
+                } else {
+                    Verdict::Block
+                }
+            }
+            fn postaction(&mut self, _: &mut InvocationContext) {}
+            fn on_cancel(&mut self, _: &InvocationContext) {
+                self.cancels.fetch_add(1, Ordering::SeqCst);
+            }
+            fn describe(&self) -> &str {
+                "gate"
+            }
+        }
+        let gate = Gate {
+            open: Arc::clone(&open),
+            cancels: Arc::clone(&cancels),
+        };
+        moderator
+            .register(&push, Concern::synchronization(), Box::new(gate))
+            .unwrap();
+        moderator
+            .register(&push, Concern::audit(), Box::new(NoopAspect))
+            .unwrap();
+        let ctx = || InvocationContext::new(push.id().clone(), moderator.next_invocation());
+        let timeout = Duration::from_secs(5);
+
+        let Ok(Entry::Pending(dropped)) = proxy.begin_timeout(&push, ctx(), timeout) else {
+            panic!("a closed gate blocks the first pass");
+        };
+        drop(dropped);
+        assert_eq!(cancels.load(Ordering::SeqCst), 1);
+
+        // The dropped ticket left the queue, so a newcomer evaluates
+        // instead of queueing behind it.
+        open.store(true, Ordering::SeqCst);
+        let Ok(Entry::Ready(guard)) = proxy.begin_timeout(&push, ctx(), timeout) else {
+            panic!("an open gate and an empty queue admit at once");
+        };
+        guard.component().push(1);
+        guard.complete();
+
+        open.store(false, Ordering::SeqCst);
+        let Ok(Entry::Pending(pending)) = proxy.begin_timeout(&push, ctx(), timeout) else {
+            panic!("a closed gate blocks the first pass");
+        };
+        // Open the gate and wake the queue (deregistering wakes every
+        // waiter); under Fifo the wake waits as a permit for `finish`.
+        open.store(true, Ordering::SeqCst);
+        moderator.deregister(&push, &Concern::audit()).unwrap();
+        let guard = proxy.finish(pending).unwrap();
+        guard.component().push(2);
+        guard.complete();
+        assert_eq!(proxy.with_component(|v| v.clone()), vec![1, 2]);
     }
 }

@@ -18,17 +18,18 @@
 //! metrics → auth → throttle → quota → sync → method — authentication
 //! attaches the principal before the quota aspect bills it.
 //!
-//! Dispatch is genuinely parallel across methods: the moderator keeps a
-//! coordination cell per method, so worker threads serving `open` never
-//! contend with workers serving `assign` on a shared moderator lock —
-//! they meet only where the protocol demands it (the buffer-sync aspect
-//! pair and cross-method wakeups).
+//! The moderator keeps a coordination cell per method, so an `open`
+//! and an `assign` coordinate on different locks and meet only where
+//! the protocol demands it (the buffer-sync aspect pair and
+//! cross-method wakeups).
 //!
 //! One execution front serves every connection: the readiness-driven
 //! reactor ([`crate::reactor`]) multiplexes all of them onto one epoll
-//! loop and runs decoded requests as tasks on a [`TaskEngine`], whose
-//! waiters also back the moderator's coordination cells, so a parked
-//! request suspends a task, not a thread.
+//! loop and runs each request to completion on that thread when its
+//! pre-activation does not block. Only a request whose first pass
+//! blocks goes to the [`TaskEngine`], whose waiters also back the
+//! moderator's coordination cells, so a parked request suspends a
+//! task, not the reactor. The engine hosts nothing but parked waits.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -46,7 +47,9 @@ use amf_core::trace::MemoryTrace;
 use amf_core::{
     AbortError, AspectModerator, Concern, FairnessPolicy, PanicPolicy, RegistrationError,
 };
-use amf_ticketing::{ExtendedTicketServerProxy, Ticket, TicketServerProxy};
+use amf_ticketing::{
+    Attempt, ExtendedTicketServerProxy, PendingTicketOp, Ticket, TicketServerProxy,
+};
 
 use crate::codec::{severity_from_wire, Request, Response, WireStats};
 use crate::reactor::{self, ReactorWaker};
@@ -144,9 +147,21 @@ pub(crate) struct ServiceShared {
     engine: Arc<TaskEngine>,
 }
 
+/// How far [`ServiceShared::begin_request`] got on the reactor thread.
+pub(crate) enum Begun {
+    /// Answered: nothing blocked.
+    Done(Response),
+    /// An `open` or `assign` blocked in pre-activation; a task must
+    /// finish it ([`ServiceShared::finish_request`]).
+    Parked(PendingTicketOp),
+}
+
 impl ServiceShared {
-    pub(crate) fn handle_request(&self, req: Request) -> Response {
-        match req {
+    /// Runs a request up to its first `BLOCKED`, never parking: the
+    /// whole request when admission resumes at once, otherwise the
+    /// first pass of pre-activation.
+    pub(crate) fn begin_request(&self, req: Request) -> Begun {
+        let attempt = match req {
             Request::Open {
                 token,
                 id,
@@ -154,22 +169,32 @@ impl ServiceShared {
                 summary,
             } => {
                 let ticket = Ticket::new(id, summary).with_severity(severity_from_wire(severity));
-                match self
-                    .proxy
-                    .open_timeout(AuthToken(token), ticket, self.op_timeout)
-                {
-                    Ok(()) => Response::Ok(None),
-                    Err(e) => abort_to_response(&e),
-                }
+                self.proxy
+                    .begin_open(AuthToken(token), ticket, self.op_timeout)
             }
-            Request::Assign { token } => {
-                match self.proxy.assign_timeout(AuthToken(token), self.op_timeout) {
-                    Ok(ticket) => Response::Ok(Some(ticket)),
-                    Err(e) => abort_to_response(&e),
-                }
+            Request::Assign { token } => self.proxy.begin_assign(AuthToken(token), self.op_timeout),
+            Request::Stats => return Begun::Done(Response::Stats(self.stats())),
+            Request::Shutdown => {
+                // Raise the flag before the ack goes out: a client that
+                // reads this Ok and reconnects must already see the
+                // service as down.
+                self.shutting_down.store(true, Ordering::SeqCst);
+                return Begun::Done(Response::Ok(None));
             }
-            Request::Stats => Response::Stats(self.stats()),
-            Request::Shutdown => Response::Ok(None),
+        };
+        match attempt {
+            Ok(Attempt::Done(ticket)) => Begun::Done(Response::Ok(ticket)),
+            Ok(Attempt::Pending(op)) => Begun::Parked(op),
+            Err(e) => Begun::Done(abort_to_response(&e)),
+        }
+    }
+
+    /// Waits out a parked request and runs it. Parks the calling
+    /// thread, so it runs on an engine worker.
+    pub(crate) fn finish_request(&self, op: PendingTicketOp) -> Response {
+        match self.proxy.finish(op) {
+            Ok(ticket) => Response::Ok(ticket),
+            Err(e) => abort_to_response(&e),
         }
     }
 
@@ -255,6 +280,12 @@ impl ServiceHandle {
     /// connections.
     pub fn proxy(&self) -> &ExtendedTicketServerProxy {
         &self.shared.proxy
+    }
+
+    /// The engine that hosts parked requests.
+    #[cfg(test)]
+    pub(crate) fn engine(&self) -> &TaskEngine {
+        &self.shared.engine
     }
 
     /// Current service counters (same numbers as the `Stats` opcode).

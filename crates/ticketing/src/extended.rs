@@ -7,6 +7,13 @@
 //! aspects, and the moderator's nested ordering makes every activation
 //! run *auth-pre → sync-pre → method → sync-post → auth-post* — exactly
 //! the sequence the paper prescribes in Figure 14.
+//!
+//! The timed operations also come split in two for callers that must not
+//! park: [`ExtendedTicketServerProxy::begin_open`] and
+//! [`ExtendedTicketServerProxy::begin_assign`] run the body inline when
+//! pre-activation resumes at once, and otherwise return a
+//! [`PendingTicketOp`] that another thread finishes with
+//! [`ExtendedTicketServerProxy::finish`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -14,12 +21,62 @@ use std::time::Duration;
 
 use amf_aspects::auth::{AuthToken, Authenticator};
 use amf_core::{
-    AbortError, AspectModerator, ChainedFactory, Concern, MethodHandle, RegistrationError,
+    AbortError, ActivationGuard, AspectModerator, ChainedFactory, Concern, Entry, MethodHandle,
+    PendingEntry, RegistrationError,
 };
 
 use crate::factory::{TicketAuthFactory, TicketSyncFactory};
 use crate::proxy::TicketServerProxy;
+use crate::server::TicketServer;
 use crate::ticket::Ticket;
+
+/// How far [`ExtendedTicketServerProxy::begin_open`] or
+/// [`ExtendedTicketServerProxy::begin_assign`] got without parking.
+#[derive(Debug)]
+pub enum Attempt {
+    /// The operation ran: `None` for an open, the ticket for an assign.
+    Done(Option<Ticket>),
+    /// Pre-activation blocked; finish with
+    /// [`ExtendedTicketServerProxy::finish`].
+    Pending(PendingTicketOp),
+}
+
+/// An open or assign whose pre-activation blocked, with the ticket an
+/// open carries. Owned and `Send + 'static`; dropping it unfinished
+/// withdraws the waiter.
+#[derive(Debug)]
+pub struct PendingTicketOp {
+    // Boxed: parking is the rare path, and the box keeps `Attempt` as
+    // small as its `Done` variant.
+    inner: Box<(PendingEntry, Op)>,
+}
+
+#[derive(Debug)]
+enum Op {
+    Open(Ticket),
+    Assign,
+}
+
+/// The method body between the two phases; `None` for an open.
+fn run(guard: ActivationGuard<'_, TicketServer>, op: Op) -> Option<Ticket> {
+    let out = match op {
+        Op::Open(ticket) => {
+            guard
+                .component()
+                .open(ticket)
+                .expect("synchronization aspect guarantees a free slot");
+            None
+        }
+        Op::Assign => Some(
+            guard
+                .component()
+                .assign()
+                .expect("synchronization aspect guarantees an item"),
+        ),
+    };
+    guard.complete();
+    out
+}
 
 /// The authenticated trouble-ticketing server: every `open`/`assign`
 /// requires a valid session token.
@@ -159,11 +216,7 @@ impl ExtendedTicketServerProxy {
             .base
             .inner
             .enter_timeout(&self.base.open, ctx, timeout)?;
-        guard
-            .component()
-            .open(ticket)
-            .expect("synchronization aspect guarantees a free slot");
-        guard.complete();
+        run(guard, Op::Open(ticket));
         Ok(())
     }
 
@@ -178,18 +231,66 @@ impl ExtendedTicketServerProxy {
         token: AuthToken,
         timeout: Duration,
     ) -> Result<Ticket, AbortError> {
-        let mut ctx = self.base.fresh_ctx(&self.base.assign);
-        ctx.insert(token);
+        let ctx = self.ctx_with_token(&self.base.assign, token);
         let guard = self
             .base
             .inner
             .enter_timeout(&self.base.assign, ctx, timeout)?;
-        let ticket = guard
-            .component()
-            .assign()
-            .expect("synchronization aspect guarantees an item");
-        guard.complete();
-        Ok(ticket)
+        Ok(run(guard, Op::Assign).expect("assign yields a ticket"))
+    }
+
+    /// [`ExtendedTicketServerProxy::open_timeout`] up to the first
+    /// `BLOCKED`: never parks.
+    ///
+    /// # Errors
+    ///
+    /// Authentication abort, or another aspect's veto in the first pass.
+    pub fn begin_open(
+        &self,
+        token: AuthToken,
+        ticket: Ticket,
+        timeout: Duration,
+    ) -> Result<Attempt, AbortError> {
+        self.begin(&self.base.open, token, Op::Open(ticket), timeout)
+    }
+
+    /// [`ExtendedTicketServerProxy::assign_timeout`] up to the first
+    /// `BLOCKED`: never parks.
+    ///
+    /// # Errors
+    ///
+    /// Authentication abort, or another aspect's veto in the first pass.
+    pub fn begin_assign(&self, token: AuthToken, timeout: Duration) -> Result<Attempt, AbortError> {
+        self.begin(&self.base.assign, token, Op::Assign, timeout)
+    }
+
+    fn begin(
+        &self,
+        method: &MethodHandle,
+        token: AuthToken,
+        op: Op,
+        timeout: Duration,
+    ) -> Result<Attempt, AbortError> {
+        let ctx = self.ctx_with_token(method, token);
+        Ok(match self.base.inner.begin_timeout(method, ctx, timeout)? {
+            Entry::Ready(guard) => Attempt::Done(run(guard, op)),
+            Entry::Pending(entry) => Attempt::Pending(PendingTicketOp {
+                inner: Box::new((entry, op)),
+            }),
+        })
+    }
+
+    /// Waits out a pending open or assign and runs it: `None` for an
+    /// open, the ticket for an assign.
+    ///
+    /// # Errors
+    ///
+    /// [`AbortError::Timeout`] when the wait outlasts the timeout given
+    /// to `begin_*`, or an aspect's veto on re-evaluation.
+    pub fn finish(&self, pending: PendingTicketOp) -> Result<Option<Ticket>, AbortError> {
+        let (entry, op) = *pending.inner;
+        let guard = self.base.inner.finish(entry)?;
+        Ok(run(guard, op))
     }
 
     /// Number of tickets currently waiting.

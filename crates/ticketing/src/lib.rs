@@ -33,7 +33,7 @@ pub mod proxy;
 pub mod server;
 pub mod ticket;
 
-pub use extended::ExtendedTicketServerProxy;
+pub use extended::{Attempt, ExtendedTicketServerProxy, PendingTicketOp};
 pub use factory::{TicketAuthFactory, TicketSyncFactory, ASSIGN, OPEN};
 pub use proxy::TicketServerProxy;
 pub use server::{ServerError, TicketServer};

@@ -10,7 +10,8 @@
 //! handoff recovery-latency digest. A `connection_scaling` section
 //! (experiment E17) measures idle connections held live at once, the
 //! fleet's resident-memory cost and request p99 under a modest load,
-//! and judges them against the retired threaded front's recorded row.
+//! and judges count and memory against the retired threaded front's
+//! recorded row, and p99 against the same load without the fleet.
 //!
 //! ```text
 //! cargo run --release --bin loadgen -- --clients 8 --requests 10000
@@ -21,7 +22,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use amf_bench::experiments::{
-    conn_scaling_meets, run_connection_scaling, run_wire_ring, ConnScaling, THREADED_FRONT_RECORD,
+    conn_scaling_meets, run_connection_scaling, run_wire_ring, ConnScaling, E17_ROUNDS,
+    THREADED_FRONT_RECORD,
 };
 use amf_bench::report::{fmt_ns, fmt_ops, JsonObject, JsonValue, LatencySummary};
 use amf_service::{run_load, LoadConfig, ServiceConfig, TicketService};
@@ -222,12 +224,17 @@ fn main() -> ExitCode {
     // Connection-scaling battery (E17): the service holds a mostly-idle
     // connection fleet (every member proven live by stats round-trips
     // before and after) on a fixed 16-worker engine while a contended
-    // 8-client active subset runs. The threaded row is the recorded
-    // one: that front, which pinned a pool worker per held connection,
-    // has been retired.
-    let task = run_connection_scaling(16, 2_040, 8_000);
+    // 8-client active subset runs, and the same subset runs once more
+    // before the fleet connects: the p99 yardstick. The threaded row is
+    // the recorded one: that front, which pinned a pool worker per held
+    // connection, has been retired.
+    let run = run_connection_scaling(16, 2_040, 8_000, E17_ROUNDS);
     let threaded = THREADED_FRONT_RECORD;
-    for (front, r) in [("task", &task), ("threaded, recorded", &threaded)] {
+    for (front, r) in [
+        ("task", &run.held),
+        ("task, no fleet", &run.bare),
+        ("threaded, recorded", &threaded),
+    ] {
         println!(
             "connection scaling [{front}]: {} conns held live, RSS delta {} KiB, \
              active p99 {} ({})",
@@ -237,7 +244,7 @@ fn main() -> ExitCode {
             fmt_ops(r.throughput),
         );
     }
-    let (tenfold, equal_rss, p99_no_worse) = conn_scaling_meets(&task, &threaded);
+    let (tenfold, equal_rss, p99_no_worse) = conn_scaling_meets(&run, &threaded);
     let front_json = |workers: usize, r: &ConnScaling| -> JsonValue {
         JsonObject::new()
             .field("workers", workers)
@@ -250,7 +257,8 @@ fn main() -> ExitCode {
     let report = report.field(
         "connection_scaling",
         JsonObject::new()
-            .field("task", front_json(16, &task))
+            .field("task", front_json(16, &run.held))
+            .field("task_no_fleet", front_json(16, &run.bare))
             .field("threaded", front_json(200, &threaded))
             .field(
                 "meets",

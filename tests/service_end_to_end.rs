@@ -470,3 +470,114 @@ fn client_eof_mid_pipeline_still_flushes_owed_responses() {
     assert!(matches!(next_response(&mut s), Response::Stats(_)));
     assert_closed(&mut s);
 }
+
+/// A handler panic that no aspect policy contains (`PanicPolicy::
+/// Propagate`) is answered with `Response::Err` on both execution
+/// paths — inline on the reactor for a request that does not block,
+/// inside the engine task for one that parked — and the connection
+/// keeps serving, well inside the client's I/O deadline.
+#[test]
+fn propagated_handler_panic_answers_err_and_keeps_the_connection() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    use aspect_moderator::core::{Concern, FnAspect, PanicPolicy, Verdict};
+
+    let config = ServiceConfig {
+        panic_policy: PanicPolicy::Propagate,
+        op_timeout: Duration::from_secs(5),
+        ..ServiceConfig::default()
+    };
+    let io_deadline = config.io_deadline.expect("a client deadline");
+    let mut handle = spawn_service(config);
+    handle.authenticator().add_user("ops", "pw");
+    let token = handle.authenticator().login("ops", "pw").unwrap();
+    let base = handle.proxy().base();
+    // `open` panics on every evaluation; `assign` once armed, which
+    // the test does after the assign parked on an empty buffer.
+    base.moderator()
+        .register(
+            base.open_handle(),
+            Concern::new("bomb"),
+            Box::new(FnAspect::new("bomb").on_precondition(|_| panic!("open bomb"))),
+        )
+        .unwrap();
+    let armed = Arc::new(AtomicBool::new(false));
+    base.moderator()
+        .register(
+            base.assign_handle(),
+            Concern::new("bomb"),
+            Box::new(FnAspect::new("late bomb").on_precondition({
+                let armed = Arc::clone(&armed);
+                move |_| {
+                    if armed.load(Ordering::SeqCst) {
+                        panic!("assign bomb");
+                    }
+                    Verdict::Resume
+                }
+            })),
+        )
+        .unwrap();
+
+    let start = Instant::now();
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+    match client.open(token, 1, Severity::Low, "boom") {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("open bomb"), "{msg}"),
+        other => panic!("expected a server error, got {other:?}"),
+    }
+    assert_eq!(client.stats().unwrap().opened, 0);
+
+    // Park an assign, arm its bomb, then wake it from a second
+    // connection: its re-evaluation panics on an engine worker.
+    let parked = thread::spawn(move || {
+        let result = client.assign(token);
+        (client, result)
+    });
+    while handle.stats().tasks_parked == 0 {
+        thread::yield_now();
+    }
+    armed.store(true, Ordering::SeqCst);
+    base.moderator()
+        .deregister(base.open_handle(), &Concern::new("bomb"))
+        .unwrap();
+    let mut other = ServiceClient::connect(handle.addr()).unwrap();
+    other.open(token, 2, Severity::Low, "wake").unwrap();
+    let (mut client, result) = parked.join().unwrap();
+    match result {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("assign bomb"), "{msg}"),
+        other => panic!("expected a server error, got {other:?}"),
+    }
+    assert_eq!(client.stats().unwrap().opened, 1);
+    assert!(start.elapsed() < io_deadline / 2, "{:?}", start.elapsed());
+    handle.shutdown();
+}
+
+/// A pipelined burst several read chunks long, followed by a
+/// half-close, is answered completely and in order before the server
+/// closes: the reactor reads one chunk per readable event and still
+/// sees every byte and then the EOF.
+#[test]
+fn pipeline_past_one_read_chunk_then_half_close_is_answered_in_order() {
+    let (_handle, token, mut s) = raw_service();
+    let pairs: u64 = 2_000;
+    let requests: Vec<Request> = (0..pairs)
+        .flat_map(|id| [open_req(token, id), Request::Assign { token }])
+        .collect();
+    let bytes: Vec<u8> = requests
+        .iter()
+        .flat_map(|r| encode_request(r).to_vec())
+        .collect();
+    assert!(bytes.len() > 3 * 16 * 1024, "{} bytes", bytes.len());
+    let mut tx = s.try_clone().unwrap();
+    let writer = thread::spawn(move || {
+        tx.write_all(&bytes).unwrap();
+        tx.shutdown(Shutdown::Write).unwrap();
+    });
+    for id in 0..pairs {
+        assert_eq!(next_response(&mut s), Response::Ok(None));
+        assert_eq!(assigned_id(next_response(&mut s)), id);
+    }
+    writer.join().unwrap();
+    assert_closed(&mut s);
+}
