@@ -29,11 +29,21 @@ use amf_core::{Aspect, InvocationContext, ReleaseCause, Verdict};
 /// post-activation wakes the next cohort member. A caller that times
 /// out deregisters itself (via `on_cancel`) without poisoning the
 /// barrier.
+///
+/// A release undoes exactly what the same pass's precondition did, so
+/// the moderator need not wake the method's waiters after a rollback:
+/// if the `k`-th arrival's chain blocks or aborts further in, its
+/// cohort never formed and the members keep waiting for an arrival
+/// that gets through.
 pub struct BarrierAspect {
     k: usize,
     waiting: HashSet<u64>,
     released: HashSet<u64>,
     generations: u64,
+    /// The cohort the latest precondition completed: `(arrival,
+    /// members, arrival was already waiting)`, kept until the next
+    /// precondition so the arrival's release can undo it.
+    completed: Option<(u64, Vec<u64>, bool)>,
 }
 
 impl fmt::Debug for BarrierAspect {
@@ -60,6 +70,7 @@ impl BarrierAspect {
             waiting: HashSet::new(),
             released: HashSet::new(),
             generations: 0,
+            completed: None,
         }
     }
 
@@ -72,14 +83,17 @@ impl BarrierAspect {
 impl Aspect for BarrierAspect {
     fn precondition(&mut self, ctx: &mut InvocationContext) -> Verdict {
         let inv = ctx.invocation();
+        self.completed = None;
         if self.released.remove(&inv) {
             return Verdict::Resume;
         }
-        self.waiting.insert(inv);
+        let was_waiting = !self.waiting.insert(inv);
         if self.waiting.len() >= self.k {
             self.generations += 1;
             self.waiting.remove(&inv);
-            self.released.extend(self.waiting.drain());
+            let cohort: Vec<u64> = self.waiting.drain().collect();
+            self.released.extend(cohort.iter().copied());
+            self.completed = Some((inv, cohort, was_waiting));
             Verdict::Resume
         } else {
             Verdict::Block
@@ -88,16 +102,36 @@ impl Aspect for BarrierAspect {
 
     fn postaction(&mut self, _ctx: &mut InvocationContext) {}
 
-    fn on_release(&mut self, ctx: &InvocationContext, _cause: ReleaseCause) {
-        // A cohort member whose *later* aspect blocked/aborted rejoins
-        // the released set so it passes straight through on re-entry.
-        self.released.insert(ctx.invocation());
+    fn on_release(&mut self, ctx: &InvocationContext, cause: ReleaseCause) {
+        let inv = ctx.invocation();
+        match self.completed.take() {
+            // The arrival that completed a cohort rolled back: the
+            // cohort never formed, and its members wait on.
+            Some((arrival, cohort, was_waiting)) if arrival == inv => {
+                self.generations -= 1;
+                for member in cohort {
+                    self.released.remove(&member);
+                    self.waiting.insert(member);
+                }
+                if was_waiting && cause == ReleaseCause::Blocked {
+                    self.waiting.insert(inv);
+                }
+            }
+            // A released cohort member whose *later* aspect blocked or
+            // aborted rejoins the released set, so it passes straight
+            // through on re-entry.
+            _ => {
+                self.released.insert(inv);
+            }
+        }
     }
 
-    fn on_cancel(&mut self, ctx: &InvocationContext) {
+    fn on_cancel(&mut self, ctx: &InvocationContext) -> bool {
+        // One fewer waiting member completes no cohort.
         let inv = ctx.invocation();
         self.waiting.remove(&inv);
         self.released.remove(&inv);
+        false
     }
 
     fn describe(&self) -> &str {
@@ -321,6 +355,29 @@ mod tests {
         // through instead of waiting for a whole new cohort.
         b.on_release(&ctx(2), ReleaseCause::Blocked);
         assert!(b.precondition(&mut c2).is_resume());
+        // So does a released member whose later aspect blocked.
+        assert!(b.precondition(&mut c1).is_resume());
+        b.on_release(&ctx(1), ReleaseCause::Blocked);
+        assert!(b.precondition(&mut c1).is_resume());
+        assert_eq!(b.generations(), 1);
+    }
+
+    #[test]
+    fn completing_arrival_rollback_undoes_the_cohort() {
+        let mut b = BarrierAspect::new(2);
+        let mut c1 = ctx(1);
+        let mut c2 = ctx(2);
+        assert!(b.precondition(&mut c1).is_block());
+        assert!(b.precondition(&mut c2).is_resume());
+        // c2's later aspect aborted: no cohort formed, so c1 still
+        // waits, and c2 is gone.
+        b.on_release(&ctx(2), ReleaseCause::Aborted);
+        assert_eq!(b.generations(), 0);
+        assert!(b.precondition(&mut c1).is_block());
+        let mut c3 = ctx(3);
+        assert!(b.precondition(&mut c3).is_resume());
+        assert!(b.precondition(&mut c1).is_resume());
+        assert_eq!(b.generations(), 1);
     }
 
     #[test]

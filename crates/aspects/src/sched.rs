@@ -7,11 +7,11 @@
 //! [`RateLimitAspect`] throttles a method's throughput with a token
 //! bucket.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-use amf_concurrency::{RateLimiter, Scheduler, SchedulerPolicy};
+use amf_concurrency::{Placed, RateLimiter, Scheduler, SchedulerPolicy};
 use amf_core::{Aspect, InvocationContext, ReleaseCause, Verdict};
 use parking_lot::Mutex;
 
@@ -26,6 +26,9 @@ struct AdmissionState {
     max_concurrent: usize,
     queue: Scheduler<u64>,
     enrolled: HashSet<u64>,
+    /// The queue place of each admitted invocation, until it departs, so
+    /// a rollback can put it back where it was.
+    admitted: HashMap<u64, Placed<u64>>,
 }
 
 /// Policy-ordered admission gate: a fair semaphore as an aspect.
@@ -37,6 +40,13 @@ struct AdmissionState {
 ///
 /// Several methods may *share* one gate by cloning the aspect's group
 /// (see [`AdmissionGroup`]).
+///
+/// An admitted caller whose later aspect blocks gets its slot and its
+/// queue place back, so it stays ahead of the callers behind it; one
+/// that then times out reports the freed place, so the moderator wakes
+/// the next in line. That wake reaches the cancelling method's own
+/// waiters: a waiter of another method sharing the gate moves up at
+/// its method's next notification.
 #[derive(Debug, Clone)]
 pub struct AdmissionGroup {
     state: Arc<Mutex<AdmissionState>>,
@@ -57,6 +67,7 @@ impl AdmissionGroup {
                 max_concurrent,
                 queue: Scheduler::new(policy),
                 enrolled: HashSet::new(),
+                admitted: HashMap::new(),
             })),
         }
     }
@@ -99,7 +110,8 @@ impl Aspect for AdmissionAspect {
             st.enrolled.insert(inv);
         }
         if st.running < st.max_concurrent && st.queue.peek() == Some(&inv) {
-            st.queue.dequeue();
+            let place = st.queue.dequeue_placed().expect("the head was peeked");
+            st.admitted.insert(inv, place);
             st.enrolled.remove(&inv);
             st.running += 1;
             Verdict::Resume
@@ -108,20 +120,35 @@ impl Aspect for AdmissionAspect {
         }
     }
 
-    fn postaction(&mut self, _ctx: &mut InvocationContext) {
-        self.state.lock().running -= 1;
+    fn postaction(&mut self, ctx: &mut InvocationContext) {
+        let mut st = self.state.lock();
+        st.admitted.remove(&ctx.invocation());
+        st.running -= 1;
     }
 
-    fn on_release(&mut self, _ctx: &InvocationContext, _cause: ReleaseCause) {
-        self.state.lock().running -= 1;
-    }
-
-    fn on_cancel(&mut self, ctx: &InvocationContext) {
+    fn on_release(&mut self, ctx: &InvocationContext, cause: ReleaseCause) {
         let inv = ctx.invocation();
         let mut st = self.state.lock();
-        if st.enrolled.remove(&inv) {
-            st.queue.cancel(|&i| i == inv);
+        st.running -= 1;
+        let place = st.admitted.remove(&inv);
+        // Blocked: the caller waits on at the place it had, ahead of
+        // everyone that queued behind it. Aborted: it leaves, and the
+        // moderator wakes the waiters that may now move up.
+        if let (Some(place), ReleaseCause::Blocked) = (place, cause) {
+            st.queue.restore(place);
+            st.enrolled.insert(inv);
         }
+    }
+
+    fn on_cancel(&mut self, ctx: &InvocationContext) -> bool {
+        let inv = ctx.invocation();
+        let mut st = self.state.lock();
+        if !st.enrolled.remove(&inv) {
+            return false;
+        }
+        let was_head = st.queue.peek() == Some(&inv);
+        st.queue.cancel(|&i| i == inv);
+        was_head && st.running < st.max_concurrent && !st.queue.is_empty()
     }
 
     fn describe(&self) -> &str {
@@ -262,11 +289,70 @@ mod tests {
         assert!(a.precondition(&mut holder).is_resume());
         assert!(a.precondition(&mut waiter).is_block());
         assert!(a.precondition(&mut late).is_block());
-        // Waiter 2 times out and cancels; 3 must now be the head.
-        a.on_cancel(&waiter);
+        // Waiter 2 times out and cancels; 3 must now be the head, but
+        // the gate is still full, so nobody needs a wake.
+        assert!(!a.on_cancel(&waiter));
         a.postaction(&mut holder);
         assert!(a.precondition(&mut late).is_resume());
         assert_eq!(group.load(), (1, 0));
+    }
+
+    #[test]
+    fn blocked_rollback_keeps_the_head_in_place() {
+        let group = AdmissionGroup::new(1, SchedulerPolicy::Fifo);
+        let mut a = group.aspect();
+        let mut running = ctx(1);
+        let mut w1 = ctx(2);
+        let mut w2 = ctx(3);
+        assert!(a.precondition(&mut running).is_resume());
+        assert!(a.precondition(&mut w1).is_block());
+        assert!(a.precondition(&mut w2).is_block());
+        a.postaction(&mut running);
+        // Both woken; w2 evaluates first and stays behind w1.
+        assert!(a.precondition(&mut w2).is_block());
+        assert!(a.precondition(&mut w1).is_resume());
+        // A later aspect blocks w1: the slot is free again and w1 heads
+        // the queue, so w2, which saw w1 ahead of it, is still blocked.
+        a.on_release(&w1, ReleaseCause::Blocked);
+        assert_eq!(group.load(), (0, 2));
+        assert!(a.precondition(&mut w2).is_block());
+        assert!(a.precondition(&mut w1).is_resume());
+        a.postaction(&mut w1);
+        assert!(a.precondition(&mut w2).is_resume());
+        assert_eq!(group.load(), (1, 0));
+    }
+
+    #[test]
+    fn cancelled_head_reports_the_freed_place() {
+        let group = AdmissionGroup::new(1, SchedulerPolicy::Fifo);
+        let mut a = group.aspect();
+        let mut w1 = ctx(1);
+        let mut w2 = ctx(2);
+        assert!(a.precondition(&mut w1).is_resume());
+        a.on_release(&w1, ReleaseCause::Blocked);
+        assert!(a.precondition(&mut w2).is_block());
+        // w2 is not the head: its cancel frees nothing.
+        assert!(!a.on_cancel(&w2));
+        assert!(a.precondition(&mut w2).is_block());
+        // w1, the head with the slot free, times out: w2 may move up.
+        assert!(a.on_cancel(&w1));
+        assert!(a.precondition(&mut w2).is_resume());
+        assert_eq!(group.load(), (1, 0));
+    }
+
+    #[test]
+    fn aborted_head_leaves_the_queue() {
+        let group = AdmissionGroup::new(1, SchedulerPolicy::Fifo);
+        let mut a = group.aspect();
+        let mut w1 = ctx(1);
+        let mut w2 = ctx(2);
+        assert!(a.precondition(&mut w1).is_resume());
+        a.on_release(&w1, ReleaseCause::Blocked);
+        assert!(a.precondition(&mut w2).is_block());
+        assert!(a.precondition(&mut w1).is_resume());
+        a.on_release(&w1, ReleaseCause::Aborted);
+        assert_eq!(group.load(), (0, 1));
+        assert!(a.precondition(&mut w2).is_resume());
     }
 
     #[test]

@@ -1930,10 +1930,10 @@ pub fn e16_wire_recovery(quick: bool) -> Table {
 /// resident-memory cost, and the active subset's request p99.
 #[derive(Debug, Clone, Copy)]
 pub struct ConnScaling {
-    /// Overall request p99 of the active subset, measured while the
-    /// whole idle fleet stayed connected.
+    /// Overall request p99 of the active subset (the median over the
+    /// run's rounds for a measured row).
     pub p99_ns: u64,
-    /// Requests per second of the active subset.
+    /// Requests per second of the active subset (median over rounds).
     pub throughput: f64,
     /// Connections held live at once: the idle fleet plus the active
     /// subset. Every idle connection is proven live by a stats
@@ -1952,7 +1952,7 @@ pub struct ConnScaling {
 /// connection). That front no longer exists; E17 judges connection
 /// count and resident memory against this row, and keeps it in its
 /// table as history. Latency is judged against a yardstick measured in
-/// the same run ([`ConnScalingRun::bare`]), since a recorded p99 says
+/// the same run ([`ConnScalingRun::rounds`]), since a recorded p99 says
 /// more about the host on the day it was taken than about the front.
 pub const THREADED_FRONT_RECORD: ConnScaling = ConnScaling {
     p99_ns: 203_624,
@@ -1961,13 +1961,14 @@ pub const THREADED_FRONT_RECORD: ConnScaling = ConnScaling {
     rss_delta_bytes: 5_718_016,
 };
 
-/// Rounds of a full E17 run. Nine best-of trials on each side keep the
-/// two p99 floors within the verdict's 10% allowance of each other on a
-/// 2-vCPU host where a single trial's p99 moves by a quarter.
+/// Rounds of a full E17 run. Each round pairs a fleet-free trial with
+/// a fleet-held one back to back, and the verdict takes the median of
+/// the nine per-round ratios: a scheduler spike in one trial moves one
+/// ratio, not the verdict.
 pub const E17_ROUNDS: usize = 9;
 
 /// Both measurements of one E17 run, on one service.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ConnScalingRun {
     /// The active subset alone, after warm-up and before the idle
     /// fleet connects: the latency yardstick. Its `rss_delta_bytes` is
@@ -1975,6 +1976,30 @@ pub struct ConnScalingRun {
     pub bare: ConnScaling,
     /// The active subset while the whole idle fleet is held.
     pub held: ConnScaling,
+    /// Each round's active-subset p99 in ns, `(fleet-free, fleet-held)`,
+    /// in round order.
+    pub rounds: Vec<(u64, u64)>,
+}
+
+impl ConnScalingRun {
+    /// The median over rounds of the fleet-held p99 divided by the same
+    /// round's fleet-free p99 (the upper median for an even count);
+    /// `None` for a run without rounds.
+    pub fn p99_ratio(&self) -> Option<f64> {
+        let ratios = self
+            .rounds
+            .iter()
+            .map(|&(bare, held)| held as f64 / bare.max(1) as f64)
+            .collect();
+        median(ratios)
+    }
+}
+
+/// The middle value of `values` (the upper one for an even count), or
+/// `None` when empty.
+fn median<T: Copy + PartialOrd>(mut values: Vec<T>) -> Option<T> {
+    values.sort_by(|a, b| a.partial_cmp(b).expect("comparable"));
+    values.get(values.len() / 2).copied()
 }
 
 /// Current resident set from `/proc/self/status`, in bytes. Returns 0
@@ -2009,33 +2034,13 @@ fn sweep_fleet(fleet: &mut [std::net::TcpStream], when: &str) {
     }
 }
 
-/// The best active-subset trial so far: single-trial tail latency on a
-/// shared machine carries scheduler-interference spikes that swamp the
-/// difference being measured, so a run is judged at the floor of its
-/// own distribution.
-#[derive(Clone, Copy)]
-struct BestTrial {
-    p99_ns: u64,
-    throughput: f64,
-}
-
-impl BestTrial {
-    const NONE: Self = BestTrial {
-        p99_ns: u64::MAX,
-        throughput: 0.0,
-    };
-
-    fn add(&mut self, outcome: &LoadOutcome) {
-        let mut all = outcome.open_latencies_ns.clone();
-        all.extend_from_slice(&outcome.assign_latencies_ns);
-        let p99_ns = LatencySummary::from_unsorted(&mut all).p99_ns;
-        if p99_ns < self.p99_ns {
-            *self = BestTrial {
-                p99_ns,
-                throughput: outcome.throughput(),
-            };
-        }
-    }
+/// One active-subset trial's request p99 (opens and assigns together)
+/// and throughput.
+fn trial(outcome: &LoadOutcome) -> (u64, f64) {
+    let mut all = outcome.open_latencies_ns.clone();
+    all.extend_from_slice(&outcome.assign_latencies_ns);
+    let p99_ns = LatencySummary::from_unsorted(&mut all).p99_ns;
+    (p99_ns, outcome.throughput())
 }
 
 /// One E17 run: spawn the service with `workers` engine workers, warm
@@ -2082,7 +2087,7 @@ pub fn run_connection_scaling(
     load((requests / 4).max(1_000));
     let warm_delta = vm_rss_bytes().saturating_sub(rss_before);
 
-    let (mut bare, mut held) = (BestTrial::NONE, BestTrial::NONE);
+    let (mut bare, mut held) = (Vec::new(), Vec::new());
     let mut rss_delta = 0;
     for round in 0..rounds {
         // No connection but the subset's: the fleet of the previous
@@ -2090,7 +2095,7 @@ pub fn run_connection_scaling(
         while handle.stats().open_connections > 0 {
             std::thread::yield_now();
         }
-        bare.add(&load(requests));
+        bare.push(trial(&load(requests)));
         let rss_unloaded = vm_rss_bytes();
         let mut fleet: Vec<std::net::TcpStream> = (0..idle_conns)
             .map(|_| std::net::TcpStream::connect(handle.addr()).expect("idle connection"))
@@ -2099,37 +2104,36 @@ pub fn run_connection_scaling(
         if round == 0 {
             rss_delta = warm_delta + vm_rss_bytes().saturating_sub(rss_unloaded);
         }
-        held.add(&load(requests));
+        held.push(trial(&load(requests)));
         sweep_fleet(&mut fleet, "after the contended phase");
     }
     handle.shutdown();
+    let row = |trials: &[(u64, f64)], sustained, rss_delta_bytes| ConnScaling {
+        p99_ns: median(trials.iter().map(|t| t.0).collect()).unwrap_or(0),
+        throughput: median(trials.iter().map(|t| t.1).collect()).unwrap_or(0.0),
+        sustained,
+        rss_delta_bytes,
+    };
     ConnScalingRun {
-        bare: ConnScaling {
-            p99_ns: bare.p99_ns,
-            throughput: bare.throughput,
-            sustained: 8,
-            rss_delta_bytes: warm_delta,
-        },
-        held: ConnScaling {
-            p99_ns: held.p99_ns,
-            throughput: held.throughput,
-            sustained: idle_conns + 8,
-            rss_delta_bytes: rss_delta,
-        },
+        bare: row(&bare, 8, warm_delta),
+        held: row(&held, idle_conns + 8, rss_delta),
+        rounds: bare.iter().zip(&held).map(|(b, h)| (b.0, h.0)).collect(),
     }
 }
 
 /// E17's acceptance flags: with its fleet held, the task front holds
 /// ≥10× the threaded front's connection count at no more resident
 /// memory (page-noise slack), and its active-subset p99 is no worse
-/// than the same subset's without the fleet in the same run (10%
-/// measurement-jitter allowance on a strict ≤ comparison). `threaded`
-/// is normally [`THREADED_FRONT_RECORD`].
+/// than the same subset's without the fleet in the same run: the
+/// median of the per-round held/fleet-free p99 ratios
+/// ([`ConnScalingRun::p99_ratio`]) is at most 1.10 (a 10%
+/// measurement-jitter allowance). `threaded` is normally
+/// [`THREADED_FRONT_RECORD`].
 pub fn conn_scaling_meets(run: &ConnScalingRun, threaded: &ConnScaling) -> (bool, bool, bool) {
     let task = &run.held;
     let tenfold = task.sustained >= 10 * threaded.sustained;
     let equal_rss = task.rss_delta_bytes <= threaded.rss_delta_bytes + 256 * 1024;
-    let p99_ok = task.p99_ns as f64 <= run.bare.p99_ns as f64 * 1.10;
+    let p99_ok = run.p99_ratio().is_some_and(|r| r <= 1.10);
     (tenfold, equal_rss, p99_ok)
 }
 
@@ -2163,6 +2167,7 @@ pub fn e17_connection_scaling(quick: bool) -> Table {
     let run = run_connection_scaling(16, idle, requests, rounds);
     let threaded = THREADED_FRONT_RECORD;
     let (tenfold, equal_rss, p99_ok) = conn_scaling_meets(&run, &threaded);
+    let ratio = run.p99_ratio().unwrap_or(f64::NAN);
     let row = |front: &str, workers: usize, r: &ConnScaling, verdict: String| {
         vec![
             front.to_string(),
@@ -2193,9 +2198,12 @@ pub fn e17_connection_scaling(quick: bool) -> Table {
         if quick {
             "fleet live (quick run: no verdict)".to_string()
         } else if tenfold && equal_rss && p99_ok {
-            "≥10× conns, equal RSS, p99 no worse ✔".to_string()
+            format!("≥10× conns, equal RSS, p99 no worse ✔ (median p99 ratio {ratio:.2})")
         } else {
-            format!("FAILED ✘ (tenfold={tenfold}, equal_rss={equal_rss}, p99_ok={p99_ok})")
+            format!(
+                "FAILED ✘ (tenfold={tenfold}, equal_rss={equal_rss}, p99_ok={p99_ok}, \
+                 median p99 ratio {ratio:.2})"
+            )
         },
     ));
     t
@@ -2328,7 +2336,11 @@ mod tests {
             sustained: 8,
             ..held
         };
-        let run = ConnScalingRun { bare, held };
+        let run = ConnScalingRun {
+            bare,
+            held,
+            rounds: vec![(190_000, 198_664), (200_000, 205_000), (180_000, 170_000)],
+        };
         assert_eq!(
             conn_scaling_meets(&run, &THREADED_FRONT_RECORD),
             (true, true, true)
@@ -2338,30 +2350,33 @@ mod tests {
                 sustained: 1_999,
                 ..held
             },
-            ..run
+            ..run.clone()
         };
         assert!(!conn_scaling_meets(&small, &THREADED_FRONT_RECORD).0);
-        // The p99 leg reads the same-run yardstick, not the record: a
-        // slow host day slows both measurements alike.
+        // The p99 leg pairs each round with its own yardstick, not the
+        // record: a slow host day slows both trials of a round alike.
         let slow_day = ConnScalingRun {
-            bare: ConnScaling {
-                p99_ns: 260_000,
-                ..bare
-            },
-            held: ConnScaling {
-                p99_ns: 270_000,
-                ..held
-            },
+            rounds: vec![(260_000, 270_000), (300_000, 310_000), (250_000, 240_000)],
+            ..run.clone()
         };
         assert!(conn_scaling_meets(&slow_day, &THREADED_FRONT_RECORD).2);
+        // One spiking round on either side moves one ratio, not the
+        // median.
+        let one_spike = ConnScalingRun {
+            rounds: vec![(190_000, 600_000), (200_000, 205_000), (180_000, 170_000)],
+            ..run.clone()
+        };
+        assert!(conn_scaling_meets(&one_spike, &THREADED_FRONT_RECORD).2);
         let fleet_hurts = ConnScalingRun {
-            held: ConnScaling {
-                p99_ns: 240_000,
-                ..held
-            },
-            ..run
+            rounds: vec![(190_000, 240_000), (200_000, 230_000), (180_000, 170_000)],
+            ..run.clone()
         };
         assert!(!conn_scaling_meets(&fleet_hurts, &THREADED_FRONT_RECORD).2);
+        let no_rounds = ConnScalingRun {
+            rounds: Vec::new(),
+            ..run
+        };
+        assert!(!conn_scaling_meets(&no_rounds, &THREADED_FRONT_RECORD).2);
     }
 
     #[test]

@@ -49,6 +49,6 @@ pub use engine::{CondvarEngine, CondvarWaiter, GrantSource, Waiter};
 pub use pool::ResourcePool;
 pub use rate::{RateLimiter, RateLimiterConfig};
 pub use ring::{RingBuffer, RingFullError};
-pub use scheduler::{Scheduler, SchedulerPolicy};
+pub use scheduler::{Placed, Scheduler, SchedulerPolicy};
 pub use task::TaskEngine;
 pub use ticket::{Grant, TicketQueue};

@@ -43,6 +43,12 @@ impl<T: Eq> PartialOrd for Entry<T> {
     }
 }
 
+/// A request taken off a [`Scheduler`] by [`Scheduler::dequeue_placed`],
+/// still carrying its place in the order, so that
+/// [`Scheduler::restore`] can put it back exactly where it was.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Placed<T>(Entry<T>);
+
 /// A queue of pending requests drained according to a [`SchedulerPolicy`].
 ///
 /// Not internally synchronized; wrap it in a mutex, or use it from
@@ -174,10 +180,33 @@ impl<T: Eq> Scheduler<T> {
 
     /// Removes and returns the next request under the active policy.
     pub fn dequeue(&mut self) -> Option<T> {
+        self.dequeue_placed().map(|p| p.0.item)
+    }
+
+    /// Like [`Scheduler::dequeue`], but the request keeps its place in
+    /// the order, for a caller that may have to undo the dequeue.
+    pub fn dequeue_placed(&mut self) -> Option<Placed<T>> {
         match self.policy {
-            SchedulerPolicy::Fifo => self.fifo.pop_front().map(|e| e.item),
-            SchedulerPolicy::Lifo => self.fifo.pop_back().map(|e| e.item),
-            SchedulerPolicy::Priority => self.heap.pop().map(|e| e.item),
+            SchedulerPolicy::Fifo => self.fifo.pop_front(),
+            SchedulerPolicy::Lifo => self.fifo.pop_back(),
+            SchedulerPolicy::Priority => self.heap.pop(),
+        }
+        .map(Placed)
+    }
+
+    /// Puts back a request taken by [`Scheduler::dequeue_placed`], in
+    /// the place it had: whatever was dequeued, enqueued or cancelled
+    /// since, it again goes before every request that would have come
+    /// after it.
+    pub fn restore(&mut self, placed: Placed<T>) {
+        let entry = placed.0;
+        match self.policy {
+            // Both keep the deque in arrival (`seq`) order.
+            SchedulerPolicy::Fifo | SchedulerPolicy::Lifo => {
+                let at = self.fifo.partition_point(|e| e.seq < entry.seq);
+                self.fifo.insert(at, entry);
+            }
+            SchedulerPolicy::Priority => self.heap.push(entry),
         }
     }
 
@@ -238,6 +267,40 @@ mod tests {
     fn default_policy_is_fifo() {
         let s: Scheduler<u8> = Scheduler::default();
         assert_eq!(s.policy(), SchedulerPolicy::Fifo);
+    }
+
+    #[test]
+    fn restore_undoes_a_dequeue_under_every_policy() {
+        for policy in [
+            SchedulerPolicy::Fifo,
+            SchedulerPolicy::Lifo,
+            SchedulerPolicy::Priority,
+        ] {
+            let mut s = Scheduler::new(policy);
+            for (i, p) in [(0, 1), (1, 3), (2, 3), (3, 2)] {
+                s.enqueue_with_priority(i, p);
+            }
+            let mut expected = Scheduler::new(policy);
+            for (i, p) in [(0, 1), (1, 3), (2, 3), (3, 2)] {
+                expected.enqueue_with_priority(i, p);
+            }
+            // Two dequeued, one arrival and one cancellation in between,
+            // then both restored out of order.
+            let first = s.dequeue_placed().unwrap();
+            let second = s.dequeue_placed().unwrap();
+            s.enqueue_with_priority(4, 2);
+            expected.enqueue_with_priority(4, 2);
+            let gone = if policy == SchedulerPolicy::Lifo {
+                0
+            } else {
+                3
+            };
+            assert!(s.cancel(|&i| i == gone));
+            assert!(expected.cancel(|&i| i == gone));
+            s.restore(second);
+            s.restore(first);
+            assert_eq!(s.drain(), expected.drain(), "{policy:?}");
+        }
     }
 
     #[test]

@@ -48,6 +48,12 @@ use std::collections::VecDeque;
 
 /// How a caller obtained the right to proceed; determines which queue
 /// state [`TicketQueue::settle`] consumes when the evaluation settles.
+///
+/// Every grant but the first comes from queue state, so a ticketed
+/// caller evaluates only in ticket order: there is no out-of-band
+/// re-check. A wake that lands while the holder's lock is dropped (a
+/// notification it sends with the lock released) stays recorded here
+/// as a signal or a sweep until a waiter consumes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Grant {
     /// First evaluation of a caller that found the queue empty — it
@@ -59,10 +65,6 @@ pub enum Grant {
     /// The ticket is the queue head and a single-waiter signal is
     /// pending.
     Signal,
-    /// An out-of-band re-evaluation granted by the caller itself (the
-    /// moderator's rollback-recheck backstop). Settling consumes
-    /// nothing.
-    Backstop,
 }
 
 /// An active sweep: tickets in `cursor..end` evaluate in ticket order
@@ -214,7 +216,7 @@ impl TicketQueue {
                 }
             }
             Grant::Signal => self.signals -= 1,
-            Grant::First | Grant::Backstop => {}
+            Grant::First => {}
         }
         if leaving {
             self.remove(ticket);

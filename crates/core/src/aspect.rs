@@ -125,16 +125,35 @@ pub trait Aspect: Send {
     /// in the chain blocked or aborted. Default: no-op, which is correct
     /// for aspects whose precondition is read-only (authentication,
     /// quota *checks*, ...).
+    ///
+    /// The undo must be *exact*: after it, every waiter of this method
+    /// must be as blocked as it was before the precondition ran (with
+    /// [`ReleaseCause::Blocked`], the releasing caller keeps any place
+    /// it held among them, e.g. an admission queue's head). The
+    /// precondition and its release run under the method's lock, so no
+    /// other caller of the method can have seen the reservation, and
+    /// the moderator therefore does not wake the method's own waiters
+    /// after a rollback. A release that leaves one of them unblocked
+    /// strands it until the method is next notified: on an untimed
+    /// wait, possibly forever. Only a caller that had parked and then
+    /// aborts wakes the method's waiters, once, as it leaves.
     fn on_release(&mut self, ctx: &InvocationContext, cause: ReleaseCause) {
         let _ = (ctx, cause);
     }
 
-    /// Called when a *blocked* caller gives up (timed out) and will never
-    /// re-evaluate this method's chain for this invocation. Aspects that
-    /// remember waiters across `Block` verdicts (admission queues) clean
-    /// up their enrollment here. Default: no-op.
-    fn on_cancel(&mut self, ctx: &InvocationContext) {
+    /// Called when a *blocked* caller gives up (timed out, or a
+    /// non-blocking attempt that would block) and will never re-evaluate
+    /// this method's chain for this invocation. Aspects that remember
+    /// waiters across `Block` verdicts (admission queues) clean up their
+    /// enrollment here.
+    ///
+    /// Returns whether the cancellation may let another waiter of the
+    /// method proceed (the caller held a place they queue behind); the
+    /// moderator then wakes the method's waiters once. Default: no-op,
+    /// returning `false`.
+    fn on_cancel(&mut self, ctx: &InvocationContext) -> bool {
         let _ = ctx;
+        false
     }
 
     /// Short human-readable description used by traces and `Debug` output.
@@ -261,7 +280,9 @@ impl FnAspect {
         self
     }
 
-    /// Sets the cancel (timed-out waiter) closure.
+    /// Sets the cancel (timed-out waiter) closure. A closure aspect's
+    /// cancellation never lets another waiter proceed
+    /// ([`Aspect::on_cancel`] returns `false`).
     #[must_use]
     pub fn on_cancel_do(mut self, f: impl FnMut(&InvocationContext) + Send + 'static) -> Self {
         self.cancel = Some(Box::new(f));
@@ -289,10 +310,11 @@ impl Aspect for FnAspect {
         }
     }
 
-    fn on_cancel(&mut self, ctx: &InvocationContext) {
+    fn on_cancel(&mut self, ctx: &InvocationContext) -> bool {
         if let Some(f) = &mut self.cancel {
             f(ctx);
         }
+        false
     }
 
     fn describe(&self) -> &str {

@@ -89,7 +89,9 @@
 //!    user of the resource.
 //! 3. A **blocked caller times out**: if you remember waiters across
 //!    `Block` verdicts (admission queues do), clean up the enrollment
-//!    in [`on_cancel`](crate::Aspect::on_cancel).
+//!    in [`on_cancel`](crate::Aspect::on_cancel), and return `true` if
+//!    the caller held a place the others queue behind, so the
+//!    moderator wakes them.
 //!
 //! ```
 //! use amf_core::{Aspect, InvocationContext, ReleaseCause, Verdict};

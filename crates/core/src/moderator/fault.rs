@@ -173,7 +173,9 @@ impl AspectModerator {
     /// Delivers `on_cancel` to every aspect in a method's row (the
     /// timeout path), with containment per policy: quarantined slots are
     /// skipped and a panicking `on_cancel` is caught and counted so the
-    /// remaining aspects still see the cancellation.
+    /// remaining aspects still see the cancellation. Returns whether any
+    /// aspect reported that the cancellation may let another waiter of
+    /// the method proceed.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn cancel_all(
         &self,
@@ -184,7 +186,7 @@ impl AspectModerator {
         point: &Arc<dyn Waiter<CellState>>,
         lane: &FastLane,
         stats: &StatShard,
-    ) {
+    ) -> bool {
         let contain = self.panic_policy != PanicPolicy::Propagate;
         let CellState {
             bank,
@@ -202,17 +204,18 @@ impl AspectModerator {
             fast_eligible,
             ..
         } = row;
+        let mut frees = false;
         for (concern, aspect) in aspects.iter_mut() {
             if contain && Self::is_quarantined(fault_map, concern) {
                 continue;
             }
             let delivered = if contain {
-                catch_unwind(AssertUnwindSafe(|| aspect.on_cancel(ctx))).is_ok()
+                catch_unwind(AssertUnwindSafe(|| aspect.on_cancel(ctx)))
             } else {
-                aspect.on_cancel(ctx);
-                true
+                Ok(aspect.on_cancel(ctx))
             };
-            if !delivered {
+            frees |= delivered.as_ref().is_ok_and(|&f| f);
+            if delivered.is_err() {
                 let concern = concern.clone();
                 self.note_panic(
                     fault_map,
@@ -228,5 +231,6 @@ impl AspectModerator {
                 );
             }
         }
+        frees
     }
 }

@@ -60,20 +60,37 @@
 //!   rolls back (impossible under the single lock, where whole-chain
 //!   evaluation was atomic). Whenever rollback releases at least one
 //!   aspect, the moderator therefore notifies the method's wake targets
-//!   — the rollback is semantically a mini post-activation — and a
-//!   blocked caller that rolled back re-checks its chain on a short
-//!   backstop interval to close the residual race.
-//! * **Self-wake**: postactions (and rollbacks) mutate the very state a
-//!   method's *own* waiters are guarded by — the paper's `ActiveOpen ==
-//!   0` flag frees a fellow producer, not a consumer. Relying on the
-//!   *other* method's next post-activation to deliver that wakeup
-//!   deadlocks once that method has gone quiet (two producers, one
-//!   parked on the active flag, after the last consumer finished). The
-//!   moderator therefore always signals the method's own waitpoint
-//!   after postactions and after a rollback that released a
-//!   reservation. [`AspectModerator::wire_wakes`] restricts which
-//!   *other* queues are notified; the self-wake is uncounted and
-//!   untraced.
+//!   — the rollback is semantically a mini post-activation — with the
+//!   cell lock dropped, per the notify discipline. The method's own
+//!   queue is left out whatever the wiring: the reservation was taken
+//!   and released inside one evaluation under the cell lock, which
+//!   every evaluation of the same method holds, so none of its own
+//!   waiters can have seen it. A caller that blocked after rolling back
+//!   parks only after re-taking its lock, and it takes the row's wake
+//!   generation *before* dropping the lock: a notification landing
+//!   while the lock is dropped moves the generation (Barging) or
+//!   leaves a queue permit (Fifo), and sends the caller back to its
+//!   chain instead of to sleep. No timer re-checks a parked caller; it
+//!   re-evaluates only when notified (model-checked in `amf-verify`,
+//!   where the `late_wake_snapshot` ablation takes the generation after
+//!   re-locking and loses the wake).
+//! * **Self-wake**: postactions mutate the very state a method's *own*
+//!   waiters are guarded by — the paper's `ActiveOpen == 0` flag frees
+//!   a fellow producer, not a consumer. Relying on the *other* method's
+//!   next post-activation to deliver that wakeup deadlocks once that
+//!   method has gone quiet (two producers, one parked on the active
+//!   flag, after the last consumer finished). The moderator therefore
+//!   always signals the method's own waitpoint after postactions.
+//!   A rollback needs no self-wake: it undoes what its own evaluation
+//!   did under the cell lock, so it leaves the method's waiters exactly
+//!   as blocked as they were (an aspect's `on_release` must restore
+//!   what its precondition changed, including a queue place). A caller
+//!   that leaves without running passes one wake on instead: a woken
+//!   caller that aborts always (it may have spent a `NotifyOne` wake or
+//!   dropped a place others queue behind), a cancelled one only when an
+//!   aspect's `on_cancel` reports a freed place. [`AspectModerator::wire_wakes`]
+//!   restricts which *other* queues are notified; the self-wake is
+//!   uncounted and untraced.
 //! * **Fairness**: by default waiters barge — the waitpoint (ultimately
 //!   the scheduler) picks the winner and a fresh arrival may overtake
 //!   every parked waiter. [`FairnessPolicy::Fifo`] replaces that with a
@@ -135,7 +152,6 @@
 use std::fmt;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::Duration;
 
 use amf_concurrency::{Clock, CondvarEngine, GrantSource, SystemClock};
 use parking_lot::RwLock;
@@ -160,12 +176,6 @@ pub use protocol::{FirstPass, PendingActivation};
 pub use stats::{ModeratorStats, WaitHistogram};
 
 use cell::Registry;
-
-/// How often a caller that blocked *after rolling back a reservation*
-/// re-evaluates its chain while parked. This backstop closes the
-/// sharded-moderator race where another method's chain observed the
-/// transient reservation; see the module docs ("Rollback notification").
-const ROLLBACK_RECHECK: Duration = Duration::from_millis(1);
 
 /// Number of buckets in a [`WaitHistogram`].
 pub const WAIT_BUCKETS: usize = 16;
@@ -418,9 +428,8 @@ impl ModeratorBuilder {
     }
 
     /// Replaces the protocol's time source (default: wall-clock
-    /// [`SystemClock`]). Every protocol deadline — timed preactivations
-    /// and the rollback-recheck backstop — is computed against this
-    /// clock and waited out through [`amf_concurrency::Waiter::park_for`],
+    /// [`SystemClock`]). Every protocol deadline — the timeout of a
+    /// timed pre-activation — is computed against this clock and waited out through [`amf_concurrency::Waiter::park_for`],
     /// so a virtual clock (e.g. the simulator's) makes timed waits
     /// deterministic: no wall time enters a scheduling decision.
     #[must_use]

@@ -32,7 +32,6 @@ use super::queue::refresh_lane;
 use super::stats::inc;
 use super::{
     AspectModerator, FairnessPolicy, MethodHandle, OrderingPolicy, PanicPolicy, RollbackPolicy,
-    ROLLBACK_RECHECK,
 };
 use crate::aspect::ReleaseCause;
 use crate::bank::MethodIndex;
@@ -68,12 +67,10 @@ struct Wait {
     deadline: Option<Duration>,
     /// When the caller first blocked; set by the first blocked pass.
     blocked_at: Option<Duration>,
-    /// The rollback-recheck backstop (module docs), when armed.
-    backstop: Option<Duration>,
     /// The caller's ticket under [`FairnessPolicy::Fifo`].
     ticket: Option<u64>,
-    /// The row's wake generation at the end of the last blocked pass,
-    /// under [`FairnessPolicy::Barging`] (`CellState::note_wake`).
+    /// The row's wake generation when the last blocked pass decided to
+    /// block, under [`FairnessPolicy::Barging`] (`CellState::note_wake`).
     seen: u64,
 }
 
@@ -82,7 +79,6 @@ impl Wait {
         Self {
             deadline,
             blocked_at: None,
-            backstop: None,
             ticket: None,
             seen: 0,
         }
@@ -587,15 +583,14 @@ impl AspectModerator {
 
     /// The wait loop after a blocked first pass, shared by the blocking
     /// form (entered with the first pass's lock still held) and the
-    /// continuation (entered with the lock re-taken): park until woken,
-    /// the deadline or the rollback backstop, re-evaluate, repeat.
+    /// continuation (entered with the lock re-taken): park until woken
+    /// or the deadline, re-evaluate, repeat.
     ///
     /// Under [`FairnessPolicy::Fifo`] the caller evaluates its chain
     /// only while holding a *grant*: a queue permit naming its ticket
     /// (head signal or sweep cursor — including a batched extension
-    /// left by a departing predecessor), or the rollback-recheck
-    /// backstop. Queue order equals ticket order equals park order, all
-    /// maintained under the cell lock.
+    /// left by a departing predecessor). Queue order equals ticket
+    /// order equals park order, all maintained under the cell lock.
     ///
     /// With [`ModeratorBuilder::grant_batching`] enabled (the default),
     /// a departing holder whose settle leaves no permit pending extends
@@ -623,7 +618,8 @@ impl AspectModerator {
                 FairnessPolicy::Barging => {
                     // A generation other than the one the last blocked
                     // pass saw means a wake landed while the lock was
-                    // released: re-evaluate instead of parking.
+                    // released (the split's gap or the rollback
+                    // notification's): re-evaluate instead of parking.
                     if state.wake_gens[slot] == wait.seen && self.park(r, &mut state, wait) {
                         return Err(self.time_out(r, &mut state, method, ctx, wait));
                     }
@@ -633,12 +629,7 @@ impl AspectModerator {
                 }
                 FairnessPolicy::Fifo => {
                     let ticket = wait.ticket.expect("a blocked Fifo caller holds a ticket");
-                    let grant = state.queues[slot].grant_for(ticket).or_else(|| {
-                        wait.backstop
-                            .is_some_and(|b| self.clock.now() >= b)
-                            .then_some(Grant::Backstop)
-                    });
-                    let Some(grant) = grant else {
+                    let Some(grant) = state.queues[slot].grant_for(ticket) else {
                         if self.park(r, &mut state, wait) {
                             return Err(self.time_out(r, &mut state, method, ctx, wait));
                         }
@@ -646,11 +637,6 @@ impl AspectModerator {
                     };
                     inc(&r.stats.wakeups);
                     self.emit(ctx.invocation(), &method.id, None, EventKind::WaitWoken);
-                    if grant == Grant::Backstop {
-                        // One out-of-band re-check per arming; re-armed
-                        // only if this evaluation rolls back again.
-                        wait.backstop = None;
-                    }
                     self.pass_fifo(r, &mut state, method, ctx, wait, grant)
                 }
             };
@@ -660,20 +646,15 @@ impl AspectModerator {
         }
     }
 
-    /// Parks once, until a wake, the deadline or the rollback backstop.
-    /// Returns whether the deadline has passed.
+    /// Parks once, until a wake or the deadline. Returns whether the
+    /// deadline has passed.
     fn park(&self, r: &Resolved, state: &mut MutexGuard<'_, CellState>, wait: &Wait) -> bool {
-        let until = match (wait.deadline, wait.backstop) {
-            (Some(d), Some(b)) => Some(d.min(b)),
-            (d, b) => d.or(b),
-        };
-        let Some(until) = until else {
+        let Some(deadline) = wait.deadline else {
             r.point.park(state);
             return false;
         };
-        let remaining = until.saturating_sub(self.clock.now());
-        let timed_out = r.point.park_for(state, remaining);
-        timed_out && wait.deadline.is_some_and(|d| self.clock.now() >= d)
+        let remaining = deadline.saturating_sub(self.clock.now());
+        r.point.park_for(state, remaining) && self.clock.now() >= deadline
     }
 
     fn time_out(
@@ -716,8 +697,11 @@ impl AspectModerator {
         }
         r.stats.note_unparked();
         // Let enrollment-style aspects (admission queues) forget this
-        // invocation.
-        self.cancel_all(state, r.slot, &method.id, ctx, &r.point, &r.lane, &r.stats);
+        // invocation; if it held a place the others queue behind, they
+        // get one wake to move up.
+        if self.cancel_all(state, r.slot, &method.id, ctx, &r.point, &r.lane, &r.stats) {
+            self.wake_own(state, r.slot, &r.point);
+        }
         refresh_lane(state, &r.lane, r.slot);
         self.emit(
             ctx.invocation(),
@@ -753,6 +737,12 @@ impl AspectModerator {
                     r.stats.note_unparked();
                     state.parked[slot] -= 1;
                     refresh_lane(state, &r.lane, r.slot);
+                    // A woken caller that aborts leaves without running:
+                    // under `NotifyOne` it spent the one wake its fellow
+                    // waiters had, and its release may have freed a
+                    // place they queue behind (an admission queue's
+                    // head). It passes one wake on.
+                    self.wake_own(state, r.slot, &r.point);
                 }
                 Pass::Done(Err(self.aborted(r, state, method, ctx, abort)))
             }
@@ -771,16 +761,13 @@ impl AspectModerator {
                     state.parked[slot] += 1;
                 }
                 self.emit(ctx.invocation(), &method.id, None, EventKind::WaitStarted);
-                wait.backstop = None;
-                if released > 0 {
-                    // Another method's chain may have blocked against
-                    // the reservation this pass just rolled back: wake
-                    // it, then park with a short recheck backstop to
-                    // close the unlocked window (module docs).
-                    self.notify_rollback(r, state, method, ctx, true);
-                    wait.backstop = Some(self.clock.now() + ROLLBACK_RECHECK);
-                }
+                // Taken before the rollback notification drops the
+                // lock, so a wake landing while it is dropped moves the
+                // generation past `seen` and is not absorbed.
                 wait.seen = state.wake_gens[slot];
+                if released > 0 {
+                    self.notify_rollback(r, state, method, ctx);
+                }
                 Pass::Blocked
             }
         }
@@ -790,12 +777,8 @@ impl AspectModerator {
     /// lock held.
     ///
     /// On `Blocked { released > 0 }` the caller is already ticketed, so
-    /// cross-cell notifications landing while the lock is dropped for
-    /// the rollback notification persist as queue permits; its own
-    /// re-check still uses the [`ROLLBACK_RECHECK`] backstop (an
-    /// out-of-band grant, the one documented exception to strict FIFO),
-    /// because granting itself a permit would let a head-of-queue
-    /// rollback loop spin hot.
+    /// notifications landing while the lock is dropped for the rollback
+    /// notification persist as queue permits.
     fn pass_fifo(
         &self,
         r: &Resolved,
@@ -828,11 +811,7 @@ impl AspectModerator {
                 inc(&r.stats.blocks);
                 self.emit(ctx.invocation(), &method.id, None, EventKind::WaitStarted);
                 if released > 0 {
-                    // No own-queue permit: our successors cannot pass
-                    // us anyway, and self-granting would make a blocked
-                    // queue head spin on its own rollback.
-                    self.notify_rollback(r, state, method, ctx, false);
-                    wait.backstop = Some(self.clock.now() + ROLLBACK_RECHECK);
+                    self.notify_rollback(r, state, method, ctx);
                 }
                 Pass::Blocked
             }
@@ -869,6 +848,11 @@ impl AspectModerator {
         }
         if served {
             inc(&r.stats.tickets_served);
+        } else if !q.has_pending() {
+            // An aborted holder used nothing it was woken for: like a
+            // cancelled one, it passes a grant on to the new front,
+            // which may have queued behind it without evaluating.
+            q.wake_one();
         }
         r.stats.note_unparked();
         if q.has_pending() && q.has_waiters() {
@@ -907,35 +891,35 @@ impl AspectModerator {
             EventKind::ActivationAborted,
         );
         if abort.released > 0 {
-            self.notify_rollback(r, state, method, ctx, true);
+            self.notify_rollback(r, state, method, ctx);
         }
         Self::abort_error(&method.id, abort.concern, abort.reason, abort.panicked)
     }
 
     /// The rollback notification (module docs): a pass that released
-    /// reservations notifies the method's wake targets — with the cell
-    /// lock released, per the notify discipline — and, with `own`, the
-    /// method's own waiters first.
+    /// reservations notifies the method's wake targets other than the
+    /// method itself, with the cell lock released, per the notify
+    /// discipline. The reservations were taken and released under this
+    /// cell's lock, which every evaluation of the method holds, so only
+    /// other methods' chains can have seen them.
     fn notify_rollback(
         &self,
         r: &Resolved,
         state: &mut MutexGuard<'_, CellState>,
         method: &MethodHandle,
         ctx: &InvocationContext,
-        own: bool,
     ) {
         let targets = state.wakes[r.slot.as_usize()].clone();
-        if own {
-            self.wake_own(state, r.slot, &r.point);
-        }
         MutexGuard::unlocked(state, || {
-            self.notify_targets(&targets, &r.stats, ctx.invocation(), &method.id);
+            self.notify_targets(&targets, method, true, &r.stats, ctx.invocation());
         });
     }
 
     /// Non-blocking pre-activation: evaluates the chain once and
     /// returns `Ok(false)` instead of parking if any aspect blocks
-    /// (earlier reservations are rolled back per policy). `Ok(true)`
+    /// (earlier reservations are rolled back per policy, and every
+    /// aspect gets [`Aspect::on_cancel`](crate::Aspect::on_cancel), as
+    /// for a timed-out waiter). `Ok(true)`
     /// means the activation resumed and post-activation is owed.
     ///
     /// # Errors
@@ -978,6 +962,13 @@ impl AspectModerator {
                 // a would-block, not an abort — the caller chose not to
                 // park; no aspect vetoed anything.
                 inc(&r.stats.would_blocks);
+                // The caller leaves like a timed-out waiter: aspects that
+                // enrolled it (admission queues) forget it.
+                if self.cancel_all(
+                    &mut state, r.slot, &method.id, ctx, &r.point, &r.lane, &r.stats,
+                ) {
+                    self.wake_own(&mut state, r.slot, &r.point);
+                }
                 self.emit(
                     ctx.invocation(),
                     &method.id,
@@ -985,7 +976,7 @@ impl AspectModerator {
                     EventKind::ActivationAborted,
                 );
                 if released > 0 {
-                    self.notify_rollback(&r, &mut state, method, ctx, true);
+                    self.notify_rollback(&r, &mut state, method, ctx);
                 }
                 Ok(false)
             }
@@ -1098,7 +1089,7 @@ impl AspectModerator {
             self.wake_own(&mut state, r.slot, &r.point);
             state.wakes[r.slot.as_usize()].clone()
         };
-        self.notify_targets(&targets, &r.stats, ctx.invocation(), &method.id);
+        self.notify_targets(&targets, method, false, &r.stats, ctx.invocation());
     }
 
     /// Emits the `MethodInvoked` trace event (Figure 3's `open(ticket)`

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use amf_concurrency::{TicketQueue, Waiter};
 
-use super::cell::{Cell, CellState, FastLane, MethodEntry};
+use super::cell::{Cell, CellState, FastLane, MethodEntry, MethodHandle};
 use super::stats::{inc, StatShard};
 use super::{AspectModerator, FairnessPolicy, WakeMode};
 use crate::bank::MethodIndex;
@@ -116,16 +116,18 @@ impl AspectModerator {
         }
     }
 
-    /// Notifies the wait queues named by `targets`, signalling each
+    /// Notifies the wait queues named by `targets` — leaving out
+    /// `source`'s own queue when `skip_source` — signalling each
     /// target's waitpoint **while holding that target's cell lock** —
     /// the discipline that makes cross-method wakeups race-free (module
     /// docs). The caller must not hold any cell lock.
     pub(super) fn notify_targets(
         &self,
         targets: &WakeTargets,
+        source: &MethodHandle,
+        skip_source: bool,
         stats: &StatShard,
         invocation: u64,
-        source: &MethodId,
     ) {
         type Target = (Arc<Cell>, MethodIndex, Arc<dyn Waiter<CellState>>, MethodId);
         let resolved: Vec<Target> = {
@@ -138,11 +140,17 @@ impl AspectModerator {
                     e.id.clone(),
                 )
             };
+            let wanted = |ix: &usize| !(skip_source && *ix == source.index.as_usize());
             match targets {
-                WakeTargets::All => registry.entries.iter().map(pick).collect(),
+                WakeTargets::All => (0..registry.entries.len())
+                    .filter(wanted)
+                    .map(|ix| pick(&registry.entries[ix]))
+                    .collect(),
                 WakeTargets::Wired(t) => t
                     .iter()
-                    .map(|ix| pick(&registry.entries[ix.as_usize()]))
+                    .map(|ix| ix.as_usize())
+                    .filter(wanted)
+                    .map(|ix| pick(&registry.entries[ix]))
                     .collect(),
             }
         };
@@ -168,7 +176,7 @@ impl AspectModerator {
                 if self.trace.is_some() {
                     self.emit(
                         invocation,
-                        source,
+                        &source.id,
                         None,
                         EventKind::NotificationSent(target_id),
                     );

@@ -120,6 +120,97 @@ fn blocked_caller_resumes_after_postactivation() {
     assert_eq!(s.resumes, 2);
 }
 
+/// Under `NotifyOne` a post-activation wakes one waiter. If that waiter
+/// aborts (say its token expired while it was parked) after resuming an
+/// outer aspect, it hands the wake on, so the waiter behind it still
+/// gets the item it was waiting for.
+#[test]
+fn notify_one_woken_waiter_that_aborts_hands_the_wake_on() {
+    let m = Arc::new(
+        AspectModerator::builder()
+            .wake_mode(WakeMode::NotifyOne)
+            .build(),
+    );
+    let open = m.declare_method(MethodId::new("open"));
+    let tick = m.declare_method(MethodId::new("tick"));
+    let gate = Arc::new(AtomicU64::new(0));
+    let bomb = Arc::new(AtomicU64::new(1));
+    {
+        let gate = Arc::clone(&gate);
+        m.register(
+            &open,
+            Concern::synchronization(),
+            Box::new(FnAspect::new("gate").on_precondition(move |_| {
+                if gate.load(AtomicOrdering::SeqCst) > 0 {
+                    Verdict::Resume
+                } else {
+                    Verdict::Block
+                }
+            })),
+        )
+        .unwrap();
+    }
+    {
+        // Vetoes the first evaluation after the gate opens: the woken
+        // waiter's.
+        let (gate, bomb) = (Arc::clone(&gate), Arc::clone(&bomb));
+        m.register(
+            &open,
+            Concern::new("veto"),
+            Box::new(FnAspect::new("veto").on_precondition(move |_| {
+                if gate.load(AtomicOrdering::SeqCst) > 0 && bomb.swap(0, AtomicOrdering::SeqCst) > 0
+                {
+                    Verdict::abort("token expired")
+                } else {
+                    Verdict::Resume
+                }
+            })),
+        )
+        .unwrap();
+    }
+    // Evaluated first, so the veto's abort rolls it back.
+    m.register(&open, Concern::metrics(), Box::new(FnAspect::new("outer")))
+        .unwrap();
+    {
+        let gate = Arc::clone(&gate);
+        m.register(
+            &tick,
+            Concern::new("open-gate"),
+            Box::new(FnAspect::new("open-gate").on_postaction(move |_| {
+                gate.store(1, AtomicOrdering::SeqCst);
+            })),
+        )
+        .unwrap();
+    }
+    m.wire_wakes(&tick, std::slice::from_ref(&open));
+    m.wire_wakes(&open, &[]);
+    let caller = || {
+        let (m, open) = (Arc::clone(&m), open.clone());
+        thread::spawn(move || {
+            let mut ctx = ctx_for(&m, &open);
+            m.preactivation_timeout(&open, &mut ctx, Duration::from_secs(2))
+                .map(|()| m.postactivation(&open, &mut ctx))
+        })
+    };
+    let first = caller();
+    while m.stats().blocks == 0 {
+        thread::yield_now();
+    }
+    let second = caller();
+    while m.stats().blocks < 2 {
+        thread::yield_now();
+    }
+    // One post-activation, one wake.
+    let mut ctx = ctx_for(&m, &tick);
+    m.preactivation(&tick, &mut ctx).unwrap();
+    m.postactivation(&tick, &mut ctx);
+    let outcomes = [first.join().unwrap(), second.join().unwrap()];
+    let vetoed = outcomes.iter().filter(|o| o.is_err()).count();
+    assert_eq!(vetoed, 1, "one waiter vetoed, one served: {outcomes:?}");
+    let s = m.stats();
+    assert_eq!((s.aborts, s.timeouts, s.resumes), (1, 0, 2));
+}
+
 #[test]
 fn timeout_aborts_blocked_caller() {
     let m = AspectModerator::new();

@@ -257,6 +257,99 @@ fn fifo_timed_out_ticket_does_not_strand_successor() {
     assert_eq!(s.tickets_served, 1);
 }
 
+/// A granted head whose chain aborts used nothing its grant was for:
+/// the grant passes to the successor that queued behind it without
+/// evaluating, whose chain would resume. With one-at-a-time handoffs
+/// and `NotifyOne` nothing else would ever grant the successor.
+#[test]
+fn fifo_aborted_head_hands_its_grant_on() {
+    let m = Arc::new(
+        AspectModerator::builder()
+            .fairness(FairnessPolicy::Fifo)
+            .wake_mode(WakeMode::NotifyOne)
+            .grant_batching(false)
+            .build(),
+    );
+    let open = m.declare_method(MethodId::new("open"));
+    let tick = m.declare_method(MethodId::new("tick"));
+    let gate = Arc::new(AtomicU64::new(0));
+    let bomb = Arc::new(AtomicU64::new(1));
+    {
+        let gate = Arc::clone(&gate);
+        m.register(
+            &open,
+            Concern::synchronization(),
+            Box::new(FnAspect::new("gate").on_precondition(move |_| {
+                if gate.load(AtomicOrdering::SeqCst) > 0 {
+                    Verdict::Resume
+                } else {
+                    Verdict::Block
+                }
+            })),
+        )
+        .unwrap();
+    }
+    {
+        // Evaluated first: vetoes the first evaluation after the gate
+        // opens, which is the head's.
+        let (gate, bomb) = (Arc::clone(&gate), Arc::clone(&bomb));
+        m.register(
+            &open,
+            Concern::new("veto"),
+            Box::new(FnAspect::new("veto").on_precondition(move |_| {
+                if gate.load(AtomicOrdering::SeqCst) > 0 && bomb.swap(0, AtomicOrdering::SeqCst) > 0
+                {
+                    Verdict::abort("vetoed")
+                } else {
+                    Verdict::Resume
+                }
+            })),
+        )
+        .unwrap();
+    }
+    {
+        let gate = Arc::clone(&gate);
+        m.register(
+            &tick,
+            Concern::new("open-gate"),
+            Box::new(FnAspect::new("open-gate").on_postaction(move |_| {
+                gate.store(1, AtomicOrdering::SeqCst);
+            })),
+        )
+        .unwrap();
+    }
+    m.wire_wakes(&tick, std::slice::from_ref(&open));
+    let caller = || {
+        let (m, open) = (Arc::clone(&m), open.clone());
+        thread::spawn(move || {
+            let mut ctx = ctx_for(&m, &open);
+            m.preactivation_timeout(&open, &mut ctx, Duration::from_secs(5))
+                .map(|()| m.postactivation(&open, &mut ctx))
+        })
+    };
+    let head = caller();
+    while m.stats().blocks == 0 {
+        thread::yield_now();
+    }
+    let successor = caller();
+    while m.stats().blocks < 2 {
+        thread::yield_now();
+    }
+    // One signal, for the head.
+    let mut ctx = ctx_for(&m, &tick);
+    m.preactivation(&tick, &mut ctx).unwrap();
+    m.postactivation(&tick, &mut ctx);
+    let err = head.join().unwrap().unwrap_err();
+    assert!(!err.is_timeout(), "the head was vetoed: {err:?}");
+    successor
+        .join()
+        .unwrap()
+        .expect("the successor got the grant");
+    let s = m.stats();
+    assert_eq!((s.tickets_issued, s.tickets_served), (2, 1));
+    assert_eq!(s.timeouts, 0);
+}
+
 #[test]
 fn fifo_pipeline_stays_live() {
     // The capacity-1 producer/consumer hammer from

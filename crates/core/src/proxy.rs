@@ -784,8 +784,9 @@ mod tests {
                 }
             }
             fn postaction(&mut self, _: &mut InvocationContext) {}
-            fn on_cancel(&mut self, _: &InvocationContext) {
+            fn on_cancel(&mut self, _: &InvocationContext) -> bool {
                 self.cancels.fetch_add(1, Ordering::SeqCst);
+                false
             }
             fn describe(&self) -> &str {
                 "gate"

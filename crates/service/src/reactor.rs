@@ -607,34 +607,32 @@ mod tests {
         assert_eq!(handle.engine().tasks_executed(), 1);
     }
 
-    /// The trace of the only `assign` in `handle`'s trace, with the
-    /// invocation number cleared, cut into passes over the chain: the
-    /// first pass, then one segment per wake.
-    fn assign_passes(handle: &ServiceHandle) -> Vec<Vec<String>> {
+    /// The trace of the only `assign` in `handle`'s trace, in compact
+    /// form with the invocation number cleared.
+    fn assign_trace(handle: &ServiceHandle) -> Vec<String> {
         let events = handle.trace().events();
         let invocation = events
             .iter()
             .find(|e| e.method.as_str() == "assign" && e.invocation != 0)
             .expect("an assign ran")
             .invocation;
-        let mut passes: Vec<Vec<String>> = Vec::new();
-        for mut e in handle.trace().events_for(invocation) {
-            e.invocation = 0;
-            let line = e.compact();
-            if passes.is_empty() || line == "#0 woken assign" {
-                passes.push(Vec::new());
-            }
-            passes.last_mut().unwrap().push(line);
-        }
-        passes
+        handle
+            .trace()
+            .events_for(invocation)
+            .into_iter()
+            .map(|mut e| {
+                e.invocation = 0;
+                e.compact()
+            })
+            .collect()
     }
 
     /// A parked `assign` over the wire — first pass on the reactor,
-    /// continuation on an engine task — leaves the trace of a blocking
-    /// in-process `assign_timeout`. While parked, a caller whose chain
-    /// rolled back re-checks on the 1 ms rollback backstop, so the
-    /// number of identical blocked re-evaluations between the first
-    /// and the last pass depends on timing; everything else must match.
+    /// continuation on an engine task — leaves exactly the trace of a
+    /// blocking in-process `assign_timeout`: the first pass, the wait,
+    /// the one wake the `open` sends, the admitting pass, the body and
+    /// post-activation. A parked caller re-evaluates only when
+    /// notified, so nothing in the trace depends on how long it waited.
     #[test]
     fn a_parked_wire_assign_traces_like_an_in_process_one() {
         let (wire, token) = service();
@@ -656,17 +654,8 @@ mod tests {
             assert_eq!(waiter.join().unwrap().unwrap().id.0, 7);
         });
 
-        let (w, l) = (assign_passes(&wire), assign_passes(&local));
-        assert!(w.len() >= 2 && l.len() >= 2, "both assigns parked");
-        assert_eq!(w[0], l[0], "first pass");
-        assert_eq!(
-            w.last(),
-            l.last(),
-            "admitting pass, body and post-activation"
-        );
-        let rechecks: Vec<_> = w[1..w.len() - 1].iter().chain(&l[1..l.len() - 1]).collect();
-        for pass in &rechecks {
-            assert_eq!(pass, &rechecks[0], "backstop re-checks");
-        }
+        let (w, l) = (assign_trace(&wire), assign_trace(&local));
+        assert!(w.iter().any(|e| e == "#0 woken assign"), "parked: {w:?}");
+        assert_eq!(w, l);
     }
 }

@@ -15,9 +15,10 @@
 //! - The runner's [`ManualClock`](amf_concurrency::ManualClock) —
 //!   installed via `ModeratorBuilder::clock` — is virtual time: it
 //!   advances only when nothing is runnable, jumping to the earliest
-//!   parked deadline. Timed protocol waits (pre-activation timeouts,
-//!   rollback backstops) resolve instantly in wall time, in the order a
-//!   real clock would impose.
+//!   parked deadline. Timed protocol waits (pre-activation timeouts)
+//!   resolve instantly in wall time, in the order a real clock would
+//!   impose. The protocol arms no other timer, so in a run with untimed
+//!   waits the clock never moves and a lost wake shows as a deadlock.
 //!
 //! A run is a pure function of `(seed, spawn order, program)`. The
 //! grant-order decision list in [`SimReport::schedule`] is the whole

@@ -14,10 +14,12 @@
 //! Time is virtual: a [`ManualClock`] shared with the moderator under
 //! test. The clock only moves when no thread is runnable — it jumps to
 //! the earliest parked deadline, waking the timed sleepers — so timed
-//! protocol waits (pre-activation timeouts, rollback backstops) resolve
-//! instantly in wall time yet in the same order a real clock would
-//! impose. If no thread is runnable and no deadline is pending, the
-//! run is deadlocked and the scheduler says so instead of hanging.
+//! protocol waits (pre-activation timeouts) resolve instantly in wall
+//! time yet in the same order a real clock would impose. If no thread
+//! is runnable and no deadline is pending, the run is deadlocked and
+//! the scheduler says so instead of hanging. The protocol re-evaluates
+//! a parked caller only when notified, so with untimed waits that
+//! report is a lost-wake detector.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicUsize;

@@ -125,17 +125,22 @@ pub enum Step {
     },
     /// Sharded mode: a thread rolled back its earlier-resumed aspects
     /// as a separate step (the reservations were visible to other
-    /// threads in between), then parked or completed aborted.
+    /// methods' threads in between) and sent the rollback notification,
+    /// then either completed aborted or, still blocked, released its
+    /// cell lock before re-taking it to park.
     Unwind {
         /// Which thread stepped.
         thread: usize,
         /// The method whose chain is unwinding.
         method: String,
-        /// `"parked"` or `"aborted"`.
+        /// `"blocked"` or `"aborted"`.
         result: &'static str,
     },
-    /// Racy-park mode: a thread that had decided to block actually
-    /// parked (the window in which it misses notifications closes).
+    /// A thread that had decided to block re-took its cell lock and
+    /// parked, or, if a notification reached it while the lock was
+    /// released, went back to its chain (the window closes). The window
+    /// opens after a blocked unwind, and after every blocking decision
+    /// in racy-park mode.
     Park {
         /// Which thread stepped.
         thread: usize,
@@ -348,9 +353,12 @@ enum Phase {
         evaluated: usize,
         then_block: bool,
     },
-    /// Racy-park mode: decided to block but not yet parked —
-    /// notifications sent in this window are missed.
-    WillBlock(usize),
+    /// Decided to block, cell lock released, not yet parked: after a
+    /// blocked unwind (the rollback notification is sent with the lock
+    /// released), or after any blocking decision in racy-park mode.
+    /// `woken` records a notification that reached the thread in this
+    /// window; the racy-park and late-wake-snapshot ablations miss it.
+    WillBlock { method: usize, woken: bool },
     /// Fast-admitted (no chain evaluation); about to run the body.
     FastBody(usize),
     /// Fast-admitted body ran; about to depart through the lock-free
@@ -404,6 +412,7 @@ pub struct Checker<S> {
     sharded: bool,
     rollback_notify: bool,
     racy_park: bool,
+    late_wake_snapshot: bool,
     fifo: bool,
     check_fairness: bool,
     racy_handoff: bool,
@@ -430,6 +439,7 @@ impl<S> fmt::Debug for Checker<S> {
             .field("sharded", &self.sharded)
             .field("rollback_notify", &self.rollback_notify)
             .field("racy_park", &self.racy_park)
+            .field("late_wake_snapshot", &self.late_wake_snapshot)
             .field("fifo", &self.fifo)
             .field("check_fairness", &self.check_fairness)
             .field("racy_handoff", &self.racy_handoff)
@@ -463,6 +473,7 @@ impl<S: Clone + Eq + Hash> Checker<S> {
             sharded: false,
             rollback_notify: true,
             racy_park: false,
+            late_wake_snapshot: false,
             fifo: false,
             check_fairness: false,
             racy_handoff: false,
@@ -585,12 +596,19 @@ impl<S: Clone + Eq + Hash> Checker<S> {
 
     /// Models the *sharded* moderator (per-method coordination cells):
     /// when a chain blocks or aborts after earlier aspects reserved,
-    /// the rollback becomes its own atomic step, so other threads can
-    /// observe the transient reservations — exactly the window the
-    /// single global lock used to close. The rollback step also sends a
-    /// rollback notification to the method's wake targets, mirroring
-    /// the implementation (disable with
-    /// [`Checker::without_rollback_notify`] to see why it is needed).
+    /// the rollback becomes its own atomic step, so other methods'
+    /// threads can observe the transient reservations — exactly the
+    /// window the single global lock used to close. Threads of the same
+    /// method cannot: the evaluation and its rollback hold the method's
+    /// cell, so a same-method chain evaluation, post-activation, park
+    /// or timeout waits for the rollback step. The rollback step also
+    /// sends a rollback notification to the method's wake targets other
+    /// than the method itself, mirroring the implementation (disable
+    /// with [`Checker::without_rollback_notify`] to see why it is
+    /// needed). A caller still blocked after its rollback then parks in
+    /// a separate step, after re-taking the cell lock it released to
+    /// notify; a notification reaching it in between sends it back to
+    /// its chain (see [`Checker::late_wake_snapshot`]).
     #[must_use]
     pub fn sharded(mut self) -> Self {
         self.sharded = true;
@@ -616,6 +634,20 @@ impl<S: Clone + Eq + Hash> Checker<S> {
     #[must_use]
     pub fn racy_park(mut self) -> Self {
         self.racy_park = true;
+        self
+    }
+
+    /// Ablation for [`Checker::sharded`] under the barging discipline: a
+    /// caller that blocked after its rollback takes the row's wake
+    /// generation only after re-taking the cell lock it released to
+    /// send the rollback notification, so a notification landing in
+    /// that window is absorbed instead of sending it back to its chain,
+    /// and with no timer to re-check it the caller sleeps on; the
+    /// checker exhibits the lost wakeup. Under [`Checker::fifo`] the wake persists as a queue
+    /// permit, so the ablation changes nothing there.
+    #[must_use]
+    pub fn late_wake_snapshot(mut self) -> Self {
+        self.late_wake_snapshot = true;
         self
     }
 
@@ -713,7 +745,7 @@ impl<S: Clone + Eq + Hash> Checker<S> {
     }
 
     /// Ablation reconstructing the PR-2 latent seed bug: completion
-    /// and rollback notifications skip the *self-wake* — a waiter
+    /// notifications skip the *self-wake* — a waiter
     /// parked on its own method's active flag is never woken by a
     /// same-method peer's completion, because only the wired wake
     /// targets are notified. With wake wiring that omits the method
@@ -783,10 +815,31 @@ impl<S: Clone + Eq + Hash> Checker<S> {
     /// phase in which notifications are missed.
     fn park_phase(&self, method: usize) -> Phase {
         if self.racy_park {
-            Phase::WillBlock(method)
+            Phase::WillBlock {
+                method,
+                woken: false,
+            }
         } else {
             Phase::Blocked(method)
         }
+    }
+
+    /// Whether another thread holds `method`'s cell at `w`: sharded, and
+    /// mid-way between a chain evaluation that must roll back and the
+    /// rollback itself (both run under the cell lock).
+    fn cell_held(&self, w: &World<S>, thread: usize, method: usize) -> bool {
+        self.sharded
+            && w.threads.iter().enumerate().any(|(t, (_, p))| {
+                t != thread && matches!(p, Phase::Unwind { method: m, .. } if *m == method)
+            })
+    }
+
+    /// Whether a notification reaching a thread in its `WillBlock`
+    /// window is kept: always under fifo (a queue permit), under
+    /// barging unless the window is a racy park or the wake generation
+    /// is taken late.
+    fn window_keeps_wakes(&self) -> bool {
+        !self.racy_park && (self.fifo || !self.late_wake_snapshot)
     }
 
     /// Evaluates the chain of `method` atomically; returns the
@@ -923,11 +976,13 @@ impl<S: Clone + Eq + Hash> Checker<S> {
 
     /// Wakes waiters on the `notified` queues. Notify-all readies every
     /// parked waiter; notify-one branches over which single waiter each
-    /// queue wakes. Threads in `WillBlock` (racy-park mode) are missed
-    /// by design. In fifo mode wake permits are persistent queue state
-    /// in the implementation (a pending signal survives until a waiter
-    /// consumes it), so both wake modes ready every parked waiter here
-    /// and the eligibility queue serializes who actually evaluates.
+    /// queue wakes. A thread in its `WillBlock` window is not parked, so
+    /// no wake-up reaches it; the notification is recorded in its
+    /// `woken` flag instead, unless an ablation misses it. In fifo mode
+    /// wake permits are persistent queue state in the implementation (a
+    /// pending signal survives until a waiter consumes it), so both wake
+    /// modes ready every parked waiter here and the eligibility queue
+    /// serializes who actually evaluates.
     /// Removes `thread` from `method`'s queues when its op resumes,
     /// aborts, or cancels.
     fn leave_queues(w: &mut World<S>, thread: usize, method: usize) {
@@ -951,6 +1006,12 @@ impl<S: Clone + Eq + Hash> Checker<S> {
             w.elig[method].swap(0, 1);
         }
         let take = if self.split_batch_overtake { 2 } else { 1 };
+        Self::ready_front(w, method, take);
+    }
+
+    /// Readies the first `take` waiters of `method`'s eligibility queue
+    /// that are parked on it.
+    fn ready_front(w: &mut World<S>, method: usize, take: usize) {
         let targets: Vec<usize> = w.elig[method].iter().take(take).copied().collect();
         for t in targets {
             if let (tpc, Phase::Blocked(m)) = w.threads[t].clone() {
@@ -971,6 +1032,19 @@ impl<S: Clone + Eq + Hash> Checker<S> {
     }
 
     fn apply_notifications(&self, w: World<S>, notified: &[usize]) -> Vec<World<S>> {
+        let mut w = w;
+        if self.window_keeps_wakes() {
+            // A thread between its unlock and its park is not on the
+            // waitpoint, but the wake generation (or queue permit) it
+            // compares on re-locking records the notification.
+            for (_, phase) in &mut w.threads {
+                if let Phase::WillBlock { method, woken } = phase {
+                    if notified.contains(method) {
+                        *woken = true;
+                    }
+                }
+            }
+        }
         if self.notify_one && !self.fifo {
             // Branch over which single waiter each target queue wakes
             // (Java notify()).
@@ -1002,7 +1076,6 @@ impl<S: Clone + Eq + Hash> Checker<S> {
         } else {
             // Notify-all: every waiter on a notified queue becomes
             // ready to re-evaluate.
-            let mut w = w;
             for t in 0..w.threads.len() {
                 if let (tpc, Phase::Blocked(m)) = w.threads[t].clone() {
                     if notified.contains(&m) {
@@ -1020,7 +1093,7 @@ impl<S: Clone + Eq + Hash> Checker<S> {
         match phase {
             Phase::Done => Vec::new(),
             Phase::Blocked(method) => {
-                if !self.timed[thread] {
+                if !self.timed[thread] || self.cell_held(world, thread, method) {
                     return Vec::new();
                 }
                 // Timed wait: the thread may give up, surrendering its
@@ -1075,6 +1148,9 @@ impl<S: Clone + Eq + Hash> Checker<S> {
                         },
                         w,
                     ));
+                }
+                if self.cell_held(world, thread, method) {
+                    return out;
                 }
                 if self.fifo {
                     if let Some(&front) = world.elig[method].first() {
@@ -1133,6 +1209,11 @@ impl<S: Clone + Eq + Hash> Checker<S> {
                     _ => {
                         Self::leave_queues(&mut w, thread, method);
                         self.extend_grant(&mut w, method);
+                        if self.fifo {
+                            // An aborted holder used nothing it was
+                            // woken for: its grant passes to the front.
+                            Self::ready_front(&mut w, method, 1);
+                        }
                     }
                 }
                 match next {
@@ -1168,6 +1249,9 @@ impl<S: Clone + Eq + Hash> Checker<S> {
                 )]
             }
             Phase::Post(method) => {
+                if self.cell_held(world, thread, method) {
+                    return Vec::new();
+                }
                 let mut w = world.clone();
                 let notified = self.post_step(method, &mut w.shared);
                 let npc = pc + 1;
@@ -1196,18 +1280,14 @@ impl<S: Clone + Eq + Hash> Checker<S> {
                 let step = Step::Unwind {
                     thread,
                     method: self.system.methods[method].name.clone(),
-                    result: if then_block { "parked" } else { "aborted" },
+                    result: if then_block { "blocked" } else { "aborted" },
                 };
-                // Rollback notification (unless ablated). Sent before
-                // this thread parks, like the implementation, so it
-                // cannot wake itself. Includes the method's own queue
-                // (self-wake): the released reservation may be what a
-                // same-method peer blocks on.
+                // Rollback notification (unless ablated), to the wake
+                // targets other than the method itself: its own threads
+                // could not evaluate while the reservations stood.
                 let worlds = if self.rollback_notify {
                     let mut notified = self.wake_set(method);
-                    if !self.seed_deadlock && !notified.contains(&method) {
-                        notified.push(method);
-                    }
+                    notified.retain(|&m| m != method);
                     self.apply_notifications(w, &notified)
                 } else {
                     vec![w]
@@ -1216,7 +1296,15 @@ impl<S: Clone + Eq + Hash> Checker<S> {
                     .into_iter()
                     .map(|mut w| {
                         if then_block {
-                            w.threads[thread] = (pc, self.park_phase(method));
+                            // The notification went out with the cell
+                            // lock released; parking re-takes it.
+                            w.threads[thread] = (
+                                pc,
+                                Phase::WillBlock {
+                                    method,
+                                    woken: false,
+                                },
+                            );
                         } else {
                             let npc = pc + 1;
                             w.threads[thread] = (npc, self.phase_for(thread, npc));
@@ -1225,9 +1313,17 @@ impl<S: Clone + Eq + Hash> Checker<S> {
                     })
                     .collect()
             }
-            Phase::WillBlock(method) => {
+            Phase::WillBlock { method, woken } => {
+                if self.cell_held(world, thread, method) {
+                    return Vec::new();
+                }
                 let mut w = world.clone();
-                w.threads[thread] = (pc, Phase::Blocked(method));
+                let next = if woken {
+                    Phase::Ready
+                } else {
+                    Phase::Blocked(method)
+                };
+                w.threads[thread] = (pc, next);
                 vec![(
                     Step::Park {
                         thread,
@@ -1366,9 +1462,9 @@ impl<S: Clone + Eq + Hash> Checker<S> {
                 }
                 fp.extend(self.shared_res(m));
             }
-            Phase::Blocked(m) | Phase::WillBlock(m) => {
-                // Timeout cancellation / the racy park: queue
-                // membership and the parked phase itself.
+            Phase::Blocked(m) | Phase::WillBlock { method: m, .. } => {
+                // Timeout cancellation / the park: queue membership and
+                // the parked phase itself.
                 fp.push(Res::Cell(*m));
                 fp.push(Res::Queue(*m));
             }
@@ -1416,7 +1512,7 @@ impl<S: Clone + Eq + Hash> Checker<S> {
         match phase {
             Phase::Done | Phase::Ready => {}
             Phase::Blocked(m)
-            | Phase::WillBlock(m)
+            | Phase::WillBlock { method: m, .. }
             | Phase::Body(m)
             | Phase::Post(m)
             | Phase::FastBody(m)

@@ -27,11 +27,15 @@
 //! Since the moderator was sharded into per-method cells, the checker
 //! also models the finer atomicity of that protocol and its failure
 //! ablations ([`Checker::sharded`]): a blocked-after-releasing chain
-//! unwinds as its own atomic step, sends the rollback notification
-//! before parking ([`Checker::without_rollback_notify`] ablates it), and
-//! parks-while-holding-its-cell ([`Checker::racy_park`] ablates that,
+//! unwinds as its own atomic step (atomic with respect to its own
+//! method's threads, which share its cell), sends the rollback
+//! notification to the other methods ([`Checker::without_rollback_notify`]
+//! ablates it), then re-takes its cell to park, going back to its chain
+//! if a notification reached it meanwhile ([`Checker::late_wake_snapshot`]
+//! ablates that), and a chain that blocks without rolling back parks
+//! while holding its cell ([`Checker::racy_park`] ablates that,
 //! exhibiting the classic lost-wakeup deadlock the notify-while-locking
-//! discipline prevents). See `tests/sharded.rs` for both ablations as
+//! discipline prevents). See `tests/sharded.rs` for the ablations as
 //! machine-checked counterexamples.
 //!
 //! Wake-order **fairness** is likewise a checked property

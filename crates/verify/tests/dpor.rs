@@ -164,9 +164,63 @@ fn gated() -> (ModelSystem<Tokens>, MethodIx, MethodIx) {
     (sys, open, tick)
 }
 
+#[derive(Clone, PartialEq, Eq, Hash, Default, Debug)]
+struct Gated {
+    busy: bool,
+    gate: bool,
+}
+
+/// The E7 shape: `a` reserves the pool and then blocks on the gate;
+/// `b` wants the pool, and its body opens the gate.
+fn reserve_then_block() -> (ModelSystem<Gated>, MethodIx, MethodIx) {
+    let mut sys = ModelSystem::new();
+    let a = sys.method("a");
+    let b = sys.method("b");
+    let pool = || {
+        aspects::reserve(
+            |s: &Gated| !s.busy,
+            |s: &mut Gated| s.busy = true,
+            |s: &mut Gated| s.busy = false,
+        )
+    };
+    sys.add_aspect(a, "gate", aspects::guard(|s: &Gated| s.gate));
+    sys.add_aspect(a, "pool", pool());
+    sys.add_aspect(b, "pool", pool());
+    sys.set_body(b, |s: &mut Gated| s.gate = true);
+    (sys, a, b)
+}
+
 // ---------------------------------------------------------------- //
-// The eight ablations, differentially.
+// The ablations, differentially.
 // ---------------------------------------------------------------- //
+
+/// `late_wake_snapshot`: the wake absorbed between a rollback
+/// notification and the park survives reduction under both wake modes,
+/// and the faithful sharded model (wake generation taken before the
+/// unlock, no re-check timer, no rollback self-wake) stays `Ok` with
+/// identical state coverage.
+#[test]
+fn dpor_late_wake_snapshot() {
+    for notify_one in [false, true] {
+        let build = |ablate: bool| {
+            let (sys, a, b) = reserve_then_block();
+            let mut c = Checker::new(sys).strategy(Strategy::Exhaustive).sharded();
+            if notify_one {
+                c = c.wake_one();
+            }
+            if ablate {
+                c = c.late_wake_snapshot();
+            }
+            c.thread(vec![a]).thread(vec![b])
+        };
+        let (_, dpor) = differential(|| build(true), Gated::default());
+        let trace = counterexample(&dpor.outcome);
+        assert!(trace.iter().any(|s| s.contains("post(b)")), "{trace:?}");
+        assert!(trace.iter().any(|s| s.contains("park(a)")), "{trace:?}");
+        let (none, _) = differential(|| build(false), Gated::default());
+        assert_eq!(none.outcome, Outcome::Ok, "notify_one={notify_one}");
+    }
+}
 
 /// `racy_park`: the missed-notification deadlock survives reduction
 /// with its signature steps (the park and the notification that

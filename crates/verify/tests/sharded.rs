@@ -11,6 +11,12 @@
 //! * **Notify-while-locking-target**: a blocking thread parks
 //!   atomically with its decision (ablate with `racy_park` → the
 //!   checker exhibits the missed-notification deadlock).
+//! * **Wake generation taken before the unlock**: a caller that rolled
+//!   back drops its cell lock to send the rollback notification, and a
+//!   notification reaching it before it re-locks sends it back to its
+//!   chain (ablate with `late_wake_snapshot` → the checker exhibits the
+//!   wake absorbed in that window). No timer re-checks the caller, and
+//!   the rollback does not wake its own method.
 
 use amf_verify::{aspects, Checker, ModelSystem, Outcome};
 
@@ -149,7 +155,7 @@ fn silent_rollback_loses_wakeups() {
             );
             // ...and `a` rolled back without waking it.
             assert!(
-                rendered.iter().any(|s| s.contains("unwind(a) -> parked")),
+                rendered.iter().any(|s| s.contains("unwind(a) -> blocked")),
                 "{rendered:?}"
             );
         }
@@ -222,5 +228,96 @@ fn sharded_notify_one_buffer_is_live() {
         .thread(vec![put, put])
         .thread(vec![take, take])
         .run(Buf::default());
+    assert_eq!(result.outcome, Outcome::Ok);
+}
+
+/// The refined sharded model proves no-lost-wake for the E7 shape with
+/// no rollback self-wake and no re-check timer: the only wake the
+/// blocked `a` gets is `b`'s post-activation, and it gets it even when
+/// it lands between `a`'s rollback notification and its park.
+#[test]
+fn wake_in_the_rollback_window_is_kept() {
+    for notify_one in [false, true] {
+        let (sys, a, b) = gated_system();
+        let checker = Checker::new(sys).sharded();
+        let checker = if notify_one {
+            checker.wake_one()
+        } else {
+            checker
+        };
+        let result = checker
+            .thread(vec![a])
+            .thread(vec![b])
+            .final_invariant(|s: &Pool| !s.busy)
+            .run(Pool::default());
+        assert_eq!(result.outcome, Outcome::Ok, "notify_one={notify_one}");
+    }
+}
+
+/// Ablation: the wake generation taken after re-locking instead of
+/// before the unlock (the moderator minus its old rollback-recheck
+/// timer). `b` blocks against `a`'s transient reservation, `a`'s
+/// rollback wakes it, and `b` completes — opening the gate and waking
+/// `a` — while `a` is between its notification and its park: the wake
+/// is absorbed and `a` parks forever. Caught under both wake modes,
+/// with a shrunk counterexample that ends in that park.
+#[test]
+fn late_wake_snapshot_loses_the_window_wake() {
+    for notify_one in [false, true] {
+        let (sys, a, b) = gated_system();
+        let checker = Checker::new(sys).sharded().late_wake_snapshot();
+        let checker = if notify_one {
+            checker.wake_one()
+        } else {
+            checker
+        };
+        let result = checker.thread(vec![a]).thread(vec![b]).run(Pool::default());
+        let Outcome::Deadlock(trace) = result.outcome else {
+            panic!("expected the absorbed wake (notify_one={notify_one}), got {result:?}");
+        };
+        let rendered: Vec<String> = trace.iter().map(ToString::to_string).collect();
+        let at = |needle: &str| {
+            rendered
+                .iter()
+                .position(|s| s.contains(needle))
+                .unwrap_or_else(|| panic!("{needle} missing: {rendered:?}"))
+        };
+        // `a` unwound, `b` then ran to completion (its post is the wake
+        // `a` needed), and only afterwards did `a` park.
+        assert!(at("unwind(a) -> blocked") < at("post(b)"), "{rendered:?}");
+        assert!(at("post(b)") < at("park(a)"), "{rendered:?}");
+        assert_eq!(rendered.last().map(String::as_str), Some("t0: park(a)"));
+        assert!(rendered.len() <= 8, "not shrunk: {rendered:?}");
+    }
+}
+
+/// Under Fifo the wake in the window persists as a queue permit, so
+/// the late snapshot loses nothing there.
+#[test]
+fn fifo_keeps_the_window_wake_as_a_permit() {
+    let (sys, a, b) = gated_system();
+    let result = Checker::new(sys)
+        .sharded()
+        .fifo()
+        .late_wake_snapshot()
+        .thread(vec![a])
+        .thread(vec![b])
+        .run(Pool::default());
+    assert_eq!(result.outcome, Outcome::Ok);
+}
+
+/// Two callers of the same method that reserve and then block: a
+/// rollback wakes neither its own method nor itself, and both still
+/// complete once the gate opens.
+#[test]
+fn same_method_rollbacks_need_no_self_wake() {
+    let (sys, a, b) = gated_system();
+    let result = Checker::new(sys)
+        .sharded()
+        .thread(vec![a])
+        .thread(vec![a])
+        .thread(vec![b])
+        .final_invariant(|s: &Pool| !s.busy)
+        .run(Pool::default());
     assert_eq!(result.outcome, Outcome::Ok);
 }

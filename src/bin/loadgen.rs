@@ -25,7 +25,7 @@ use amf_bench::experiments::{
     conn_scaling_meets, run_connection_scaling, run_wire_ring, ConnScaling, E17_ROUNDS,
     THREADED_FRONT_RECORD,
 };
-use amf_bench::report::{fmt_ns, fmt_ops, JsonObject, JsonValue, LatencySummary};
+use amf_bench::report::{fmt_ns, fmt_ops, json_array, JsonObject, JsonValue, LatencySummary};
 use amf_service::{run_load, LoadConfig, ServiceConfig, TicketService};
 
 const REPORT_PATH: &str = "BENCH_service.json";
@@ -244,6 +244,11 @@ fn main() -> ExitCode {
             fmt_ops(r.throughput),
         );
     }
+    let p99_ratio = run.p99_ratio().unwrap_or(f64::NAN);
+    println!(
+        "connection scaling: median held/no-fleet p99 ratio {p99_ratio:.3} over {} rounds",
+        run.rounds.len()
+    );
     let (tenfold, equal_rss, p99_no_worse) = conn_scaling_meets(&run, &threaded);
     let front_json = |workers: usize, r: &ConnScaling| -> JsonValue {
         JsonObject::new()
@@ -260,6 +265,16 @@ fn main() -> ExitCode {
             .field("task", front_json(16, &run.held))
             .field("task_no_fleet", front_json(16, &run.bare))
             .field("threaded", front_json(200, &threaded))
+            .field("median_p99_ratio", p99_ratio)
+            .field(
+                "rounds_p99_ns",
+                json_array(run.rounds.iter().map(|&(no_fleet, held)| {
+                    JsonObject::new()
+                        .field("no_fleet", no_fleet)
+                        .field("held", held)
+                        .build()
+                })),
+            )
             .field(
                 "meets",
                 JsonObject::new()

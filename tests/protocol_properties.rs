@@ -89,8 +89,9 @@ impl Aspect for Probe {
         self.accounting.released.fetch_add(1, Ordering::SeqCst);
     }
 
-    fn on_cancel(&mut self, ctx: &InvocationContext) {
+    fn on_cancel(&mut self, ctx: &InvocationContext) -> bool {
         self.pending_blocks.remove(&ctx.invocation());
+        false
     }
 
     fn describe(&self) -> &str {
